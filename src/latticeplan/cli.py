@@ -15,10 +15,11 @@ from . import grid
 from .errors import LatticePlanError, LimitExceeded
 from .games import game_to_dot
 from .lattice import subset_id
-from .phase import enumerate_facts
+from .phase import enumerate_facts  # noqa: F401  perfbench traces this name
 from .planner import plan_once, simulate, vertex_weight
 from .scenario import (
     ParseError,
+    RawScenario,
     Scenario,
     build_scenario,
     parse_scenario,
@@ -61,7 +62,7 @@ def _fact_marks(scenario: Scenario, members: frozenset) -> str:
 
 
 def cmd_facts(scenario: Scenario) -> int:
-    for fact in enumerate_facts(scenario.phase):
+    for fact in scenario.spec.facts:
         name = scenario.spec.fact_name(fact)
         marks = _fact_marks(scenario, fact.members)
         print(f"fact {subset_id(fact.members)} name={name} marks={marks}")
@@ -192,16 +193,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    cfg = scenario.planner
-    if getattr(args, "depth", None) is not None:
-        cfg = replace(cfg, depth=args.depth)
-    if getattr(args, "max_steps", None) is not None:
-        cfg = replace(cfg, max_steps=args.max_steps)
-    if getattr(args, "eq1_mode", None) is not None:
-        cfg = replace(cfg, eq1_mode=args.eq1_mode)
-    scenario.planner = cfg
-    return scenario
+def _apply_overrides(raw: RawScenario, args) -> RawScenario:
+    """Set the command-line planner overrides before validation sees them."""
+    given = {name: getattr(args, name, None)
+             for name in ("depth", "max_steps", "eq1_mode")}
+    raw.planner = replace(raw.planner, **{name: value for name, value
+                                          in given.items() if value is not None})
+    return raw
 
 
 def main(argv=None) -> int:
@@ -209,8 +207,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             return cmd_validate(args.scenario)
-        scenario = build_scenario(parse_scenario(args.scenario))
-        scenario = _apply_overrides(scenario, args)
+        scenario = build_scenario(
+            _apply_overrides(parse_scenario(args.scenario), args))
         if args.command == "facts":
             return cmd_facts(scenario)
         if args.command == "weights":

@@ -64,6 +64,10 @@ class NotDeterministic(GameError):
     pass
 
 
+class NoImplication(GameError):
+    pass
+
+
 class SetPayoffs:
     """Virtual powerset lattice over feature-name sets.
 
@@ -331,9 +335,15 @@ def is_winning(strategy: Strategy, game: ConwayGame) -> bool:
 
 
 def payoff_implies(game: ConwayGame, a, b):
-    """Relative pseudocomplement in the game's payoff lattice."""
+    """Relative pseudocomplement in the game's payoff lattice.
+
+    Set payoffs have an open universe and so no top, hence no implication.
+    """
     if game.payoff_lattice is None:
         raise NoPayoff("game carries no payoff lattice")
+    if isinstance(game.payoff_lattice, SetPayoffs):
+        raise NoImplication("set-valued payoffs have no implication: their"
+                            " universe is open, so there is no top")
     return game.payoff_lattice.relative_pseudocomplement(a, b)
 
 

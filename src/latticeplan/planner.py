@@ -2,7 +2,9 @@
 
 Priorities of goal subsets are evaluated in the system phase space as
 par(dual(a1 (x) ... (x) al), b1 (x) ... (x) bk). Joint plays are scored in
-the reward lattice and chosen exhaustively; ties between agents break on
+the reward lattice, which sees each agent's path only through a small
+signature; the exact search combines classes of equal signatures and
+expands only the maximal ones into plays. Ties between agents break on
 desire-lattice vertex weights, then on agent order. The simulation loop is
 receding-horizon: one committed move per step, full re-planning after.
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import LatticePlanError, LimitExceeded
@@ -47,7 +49,7 @@ class LengthMismatch(PlannerError):
     pass
 
 
-class DepthTooLarge(LimitExceeded):
+class DepthTooLarge(PlannerError, LimitExceeded):
     pass
 
 
@@ -73,6 +75,7 @@ class GoalLatticeSpec:
     names: dict
     lattice: FiniteLattice = field(repr=False)
     target_names: tuple
+    facts: tuple = field(repr=False)  # in enumerate_facts order
 
     def fact_name(self, fact: MonoidSubset) -> str:
         return self.names.get(fact.members, subset_id(fact.members))
@@ -97,7 +100,7 @@ def build_goal_lattice_spec(phase: PhaseSpace, goal_map: Mapping,
         if not is_fact(target):
             raise PlannerError(
                 f"goal {goal_id!r} maps to {target.display()}, not a fact")
-    facts = enumerate_facts(phase)
+    facts = tuple(enumerate_facts(phase))
     fact_members = {f.members for f in facts}
     for key in names:
         if key not in fact_members:
@@ -114,7 +117,8 @@ def build_goal_lattice_spec(phase: PhaseSpace, goal_map: Mapping,
     lattice = verify_poset(ids, pairs)
     targets = tuple(sorted({by_members[t.members] for t in goal_map.values()}))
     return GoalLatticeSpec(phase=phase, goal_map=dict(goal_map), op_cl=op_cl,
-                           names=names, lattice=lattice, target_names=targets)
+                           names=names, lattice=lattice, target_names=targets,
+                           facts=facts)
 
 
 def _tensor_fold(spec: GoalLatticeSpec, facts: Iterable[MonoidSubset]):
@@ -186,6 +190,42 @@ def _positions_of(env: GridEnvironment, joint_play: Mapping) -> dict:
             for aid, path in joint_play.items()}
 
 
+def _seen_at_start(env: GridEnvironment) -> frozenset:
+    return frozenset().union(*(grid.observed_cells(env, a.position, a.horizon)
+                               for a in env.agents))
+
+
+def _signature(env: GridEnvironment, agent, cells, goals, eq1_mode: str,
+               scouted: frozenset) -> tuple:
+    """All that the reward of a joint play needs from one agent's path.
+
+    Per-goal mode keeps the newly scouted features and the agent's best
+    view of each goal over its cells. Positionwise mode joins each cell's
+    meet of the goal views into the scouted features, as both join along
+    the play anyway.
+    """
+    seen = frozenset().union(
+        *(grid.observed_cells(env, c, agent.horizon) for c in cells))
+    scouts = frozenset(scout_feature(c) for c in seen - scouted)
+    if eq1_mode == "per-goal":
+        return scouts, tuple(
+            frozenset().union(*(grid.reward(env, c, g, agent.horizon)
+                                for c in cells)) for g in goals)
+    if goals:
+        for c in cells:
+            scouts |= frozenset.intersection(
+                *(grid.reward(env, c, g, agent.horizon) for g in goals))
+    return scouts, ()
+
+
+def _combine(signatures) -> frozenset:
+    """Joint reward: scouted features plus the meet of the goal views."""
+    value = frozenset().union(*(scouts for scouts, _ in signatures))
+    views = [frozenset().union(*per_goal)
+             for per_goal in zip(*(v for _, v in signatures))]
+    return value | frozenset.intersection(*views) if views else value
+
+
 def play_reward(env: GridEnvironment, joint_play: Mapping,
                 chosen_goals: Sequence[str], *, eq1_mode: str = "per-goal",
                 scouted: frozenset | None = None) -> frozenset:
@@ -198,37 +238,22 @@ def play_reward(env: GridEnvironment, joint_play: Mapping,
     if eq1_mode not in EQ1_MODES:
         raise PlannerError(f"unknown eq1 mode {eq1_mode!r}")
     positions = _positions_of(env, joint_play)
-    horizons = {a.id: a.horizon for a in env.agents}
-    if scouted is None:
-        scouted = frozenset()
-        for a in env.agents:
-            scouted |= grid.observed_cells(env, a.position, a.horizon)
-    value = frozenset()
-    for aid, cells in positions.items():
-        for cell in cells:
-            newly = grid.observed_cells(env, cell, horizons[aid]) - scouted
-            value |= frozenset(scout_feature(c) for c in newly)
     goals = [env.goal(g) for g in chosen_goals]
-    if goals:
-        if eq1_mode == "per-goal":
-            term = None
-            for g in goals:
-                best = frozenset()
-                for aid, cells in positions.items():
-                    for cell in cells:
-                        best |= grid.reward(env, cell, g, horizons[aid])
-                term = best if term is None else term & best
-        else:
-            term = frozenset()
-            for aid, cells in positions.items():
-                for cell in cells:
-                    here = None
-                    for g in goals:
-                        r = grid.reward(env, cell, g, horizons[aid])
-                        here = r if here is None else here & r
-                    term |= here
-        value |= term
-    return value
+    if scouted is None:
+        scouted = _seen_at_start(env)
+    return _combine([_signature(env, a, positions[a.id], goals, eq1_mode,
+                                scouted) for a in env.agents])
+
+
+def check_search_bounds(depth: int, agent_count: int) -> None:
+    """Reject a search the exhaustive planner cannot run exactly."""
+    if not 0 <= depth <= EXHAUSTIVE_DEPTH_BOUND:
+        error = DepthTooLarge if depth > EXHAUSTIVE_DEPTH_BOUND else PlannerError
+        raise error(f"planner depth {depth} outside exact range"
+                    f" 0..{EXHAUSTIVE_DEPTH_BOUND}")
+    if agent_count > EXHAUSTIVE_AGENT_BOUND:
+        raise DepthTooLarge(f"{agent_count} agents exceed the exact bound"
+                            f" {EXHAUSTIVE_AGENT_BOUND}")
 
 
 def _agent_paths(env: GridEnvironment, start, depth: int) -> list:
@@ -250,19 +275,17 @@ def choose_play(env: GridEnvironment, spec: GoalLatticeSpec,
                 chosen_goals: Sequence[str], depth: int, *,
                 eq1_mode: str = "per-goal",
                 scouted: frozenset | None = None) -> list:
-    """Every reward-maximal joint play of the given depth.
+    """Every reward-maximal joint play of the given depth, exactly.
 
-    Exhaustive over the product of per-agent move trees, so depth and agent
-    count are bounded. Results are joint plays (agent id to position
-    sequence, start excluded) in lexicographic move-index order.
+    Each agent's paths are grouped into classes of equal `_signature`, and
+    `_combine` scores each combination of classes once. Values are scanned
+    by decreasing size against the maxima found so far: a set lies strictly
+    below only larger sets, and what lies below a non-maximal value lies
+    below a maximal one found before it. Only maximal class combinations
+    are expanded into joint plays (agent id to cells, start excluded), in
+    lexicographic order of their interleaved move indices.
     """
-    if depth > EXHAUSTIVE_DEPTH_BOUND:
-        raise DepthTooLarge(
-            f"depth {depth} exceeds the exhaustive bound {EXHAUSTIVE_DEPTH_BOUND}")
-    if len(env.agents) > EXHAUSTIVE_AGENT_BOUND:
-        raise DepthTooLarge(
-            f"{len(env.agents)} agents exceed the exhaustive bound "
-            f"{EXHAUSTIVE_AGENT_BOUND}")
+    check_search_bounds(depth, len(env.agents))
     known = {g.id for g in env.goals}
     for g in chosen_goals:
         if g not in known:
@@ -270,65 +293,41 @@ def choose_play(env: GridEnvironment, spec: GoalLatticeSpec,
         spec.fact_of(g)
     if eq1_mode not in EQ1_MODES:
         raise PlannerError(f"unknown eq1 mode {eq1_mode!r}")
+    goals = [env.goal(g) for g in chosen_goals]
     if scouted is None:
-        scouted = frozenset()
-        for a in env.agents:
-            scouted |= grid.observed_cells(env, a.position, a.horizon)
+        scouted = _seen_at_start(env)
 
-    agent_ids = [a.id for a in env.agents]
     per_agent = []
     for a in env.agents:
         paths = _agent_paths(env, a.position, depth)
         if not paths:
             raise NoLegalPlay(f"agent {a.id} has no legal path")
-        # per-path precomputation keeps the joint loop cheap
-        annotated = []
+        classes: dict = {}
         for cells, idxs in paths:
-            newly = frozenset()
-            for cell in cells:
-                newly |= grid.observed_cells(env, cell, a.horizon) - scouted
-            scouts = frozenset(scout_feature(c) for c in newly)
-            per_goal = {}
-            for g in chosen_goals:
-                best = frozenset()
-                for cell in cells:
-                    best |= grid.reward(env, cell, g, a.horizon)
-                per_goal[g] = best
-            annotated.append((cells, idxs, scouts, per_goal))
-        per_agent.append(annotated)
+            sig = _signature(env, a, cells, goals, eq1_mode, scouted)
+            classes.setdefault(sig, []).append((cells[1:], idxs))
+        per_agent.append(classes.items())
 
     by_value: dict = {}
-    use_fast = eq1_mode == "per-goal"
     for combo in product(*per_agent):
-        key = tuple(combo[i][1][t] for t in range(depth)
-                    for i in range(len(agent_ids)))
-        if use_fast:
-            value = frozenset()
-            for (_, _, scouts, _) in combo:
-                value |= scouts
-            term = None
-            for g in chosen_goals:
-                best = frozenset()
-                for (_, _, _, per_goal) in combo:
-                    best |= per_goal[g]
-                term = best if term is None else term & best
-            if term is not None:
-                value |= term
-        else:
-            joint = {aid: combo[i][0][1:]
-                     for i, aid in enumerate(agent_ids)}
-            value = play_reward(env, joint, chosen_goals, eq1_mode=eq1_mode,
-                                scouted=scouted)
-        play = {aid: combo[i][0][1:] for i, aid in enumerate(agent_ids)}
-        by_value.setdefault(value, []).append((key, play))
+        value = _combine([sig for sig, _ in combo])
+        by_value.setdefault(value, []).append([paths for _, paths in combo])
+    maxima: list = []
+    for value in sorted(by_value, key=len, reverse=True):
+        if not any(value < m for m in maxima):
+            maxima.append(value)
 
-    values = list(by_value)
-    maximal = [v for v in values if not any(v < w for w in values)]
     chosen = []
-    for v in maximal:
-        chosen.extend(by_value[v])
+    for value in maxima:
+        for members in by_value[value]:
+            for combo in product(*members):
+                key = tuple(chain.from_iterable(
+                    zip(*(idxs for _, idxs in combo))))
+                chosen.append((key, combo))
     chosen.sort(key=lambda kp: kp[0])
-    return [play for _, play in chosen]
+    agent_ids = [a.id for a in env.agents]
+    return [{aid: cells for aid, (cells, _) in zip(agent_ids, combo)}
+            for _, combo in chosen]
 
 
 @dataclass(frozen=True)

@@ -30,13 +30,12 @@ from .lattice import verify_poset
 from .phase import OpClPartition, PhaseSpace, validate_monoid, validate_op_cl
 from .planner import (
     EQ1_MODES,
-    EXHAUSTIVE_AGENT_BOUND,
-    EXHAUSTIVE_DEPTH_BOUND,
     DesireLattice,
     GoalLatticeSpec,
     PlannerError,
     build_desire_lattice,
     build_goal_lattice_spec,
+    check_search_bounds,
 )
 
 
@@ -332,14 +331,7 @@ def _check_cross_references(raw: RawScenario, env: GridEnvironment,
 
 def _check_planner(raw: RawScenario, env: GridEnvironment) -> None:
     cfg = raw.planner
-    if not 0 <= cfg.depth <= EXHAUSTIVE_DEPTH_BOUND:
-        raise PlannerError(
-            f"planner depth {cfg.depth} outside exact range"
-            f" 0..{EXHAUSTIVE_DEPTH_BOUND}")
-    if len(env.agents) > EXHAUSTIVE_AGENT_BOUND:
-        raise PlannerError(
-            f"{len(env.agents)} agents exceed the exact bound"
-            f" {EXHAUSTIVE_AGENT_BOUND}")
+    check_search_bounds(cfg.depth, len(env.agents))
     if cfg.eq1_mode not in EQ1_MODES:
         raise PlannerError(f"unknown eq1 mode {cfg.eq1_mode!r}")
     if cfg.subset_cap is not None and cfg.subset_cap < 1:

@@ -165,6 +165,18 @@ class TestPlanCommand:
         assert code == 3
         assert err.startswith("limit exceeded:")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("plan", "--depth", "-1"),
+         "planner depth -1 outside exact range 0..4"),
+        (("simulate", "--max-steps", "-1"), "max steps -1 must be >= 0"),
+    ])
+    def test_override_is_validated_exits_1(self, capsys, argv, message):
+        code, out, err = run_main(capsys, argv[0], "--scenario", BUNDLED,
+                                  *argv[1:])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+
     def test_eq1_mode_override(self, capsys):
         code, out, _ = run_main(capsys, "plan", "--scenario", BUNDLED,
                                 "--eq1-mode", "positionwise")

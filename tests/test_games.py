@@ -1,13 +1,16 @@
 """Game graphs, plays, strategies, duals, and tensor products."""
 
 import random
+from pathlib import Path
 
 import pytest
 
+from latticeplan import grid
 from latticeplan.games import (
     SET_PAYOFFS,
     ConwayGame,
     EmptyStrategy,
+    GameError,
     InvalidGame,
     NoPayoff,
     NotAlternating,
@@ -30,6 +33,7 @@ from latticeplan.games import (
     validate_strategy,
 )
 from latticeplan.lattice import chain_lattice
+from latticeplan.scenario import load_scenario
 
 BOOL = chain_lattice(["0", "1"])
 
@@ -412,6 +416,15 @@ class TestPayoffHelpers:
         assert payoff_implies(g, "1", "1") == "1"
         with pytest.raises(NoPayoff):
             payoff_implies(fork_game(), "1", "1")
+
+    def test_payoff_implies_on_agent_game_is_a_game_error(self):
+        walkthrough = Path(__file__).resolve().parent.parent / "scenarios" \
+            / "walkthrough.yaml"
+        env = load_scenario(str(walkthrough)).env
+        game = grid.build_agent_game(env, "agent-1", 1)
+        value = game.payoff[game.root]
+        with pytest.raises(GameError, match="no implication"):
+            payoff_implies(game, value, value)
 
     def test_set_payoffs(self):
         a = frozenset({"x", "y"})

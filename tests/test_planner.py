@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,11 +11,13 @@ from latticeplan.grid import AgentState, GoalObject, build_environment
 from latticeplan.lattice import ForeignElement, verify_poset
 from latticeplan.phase import (
     SpaceMismatch,
+    enumerate_facts,
     linear_implication,
     validate_monoid,
     validate_op_cl,
 )
 from latticeplan.planner import (
+    EQ1_MODES,
     DepthTooLarge,
     DesireLattice,
     InvalidDesires,
@@ -108,6 +111,8 @@ class TestGoalLatticeSpec:
         assert spec.lattice.bottom == "0"
         assert spec.fact_name(spec.fact_of("b1")) == "B1"
         assert spec.target_names == ("B1", "B2", "B3", "I")
+        assert [f.members for f in spec.facts] \
+            == [f.members for f in enumerate_facts(spec.phase)]
 
     def test_non_fact_target_rejected(self):
         phase = union_phase()
@@ -342,6 +347,11 @@ class TestChoosePlay:
         with pytest.raises(DepthTooLarge):
             choose_play(wide, spec, [], 1)
 
+    def test_negative_depth_is_a_typed_error(self):
+        env = self.one_agent_env()
+        with pytest.raises(PlannerError, match="depth -1 outside"):
+            choose_play(env, self.spec_for(env), ["g"], -1)
+
     def test_unknown_goal(self):
         env = self.one_agent_env()
         with pytest.raises(UnknownGoalId):
@@ -366,6 +376,68 @@ class TestChoosePlay:
         maximal = [dict(a=p[1:]) for p, v in scored
                    if not any(v < w for _, w in scored)]
         assert [dict(p) for p in got] == maximal
+
+
+def brute_force_plays(env, goal_ids, depth, eq1_mode):
+    """Maximal plays by scoring every joint play with play_reward."""
+    per_agent = []
+    for a in env.agents:
+        paths = [((), ())]   # (cells after the start, move indices)
+        for _ in range(depth):
+            paths = [(cells + (t,), idxs + (i,)) for cells, idxs in paths
+                     for i, t in enumerate(grid.agent_moves(
+                         env, cells[-1] if cells else a.position))]
+        per_agent.append(paths)
+    scored = []
+    for combo in product(*per_agent):
+        play = {a.id: cells for a, (cells, _) in zip(env.agents, combo)}
+        key = tuple(idxs[t] for t in range(depth) for _, idxs in combo)
+        scored.append((key, play, play_reward(env, play, goal_ids,
+                                              eq1_mode=eq1_mode)))
+    values = {v for _, _, v in scored}
+    best = {v for v in values if not any(v < w for w in values)}
+    return [play for _, play, v in sorted(scored, key=lambda s: s[0])
+            if v in best]
+
+
+def random_walkthrough_like(rng):
+    """A small random grid with 1-3 walkthrough agents and goals b1, b2."""
+    width, height = rng.randint(2, 4), rng.randint(2, 3)
+    cells = [(c, r) for c in range(width) for r in range(height)]
+    obstacles = [cell for cell in cells if rng.random() < 0.2]
+    free = [cell for cell in cells if cell not in obstacles]
+    if len(free) < 3:
+        obstacles, free = [], cells
+    agents = [AgentState(f"agent-{i + 1}", cell, rng.randint(0, 2), f"a{i + 1}")
+              for i, cell in enumerate(rng.sample(free, rng.randint(1, 3)))]
+    goals = [GoalObject(gid, rng.choice(free),
+                        tuple((name, rng.randint(0, 2))
+                              for name in rng.sample(["far", "mid", "near"],
+                                                     rng.randint(1, 3))))
+             for gid in ("b1", "b2")]
+    return build_environment(width, height, obstacles, agents, goals)
+
+
+class TestChoosePlayOracle:
+    def test_ordered_brute_force_in_both_modes(self):
+        spec = system_spec()
+        for k in range(16):
+            rng = random.Random(7100 + k)
+            env = random_walkthrough_like(rng)
+            depth = rng.randint(0, 2)
+            chosen = rng.sample(["b1", "b2"], rng.randint(1, 2))
+            for mode in EQ1_MODES:
+                for goals in ([], chosen):
+                    expected = brute_force_plays(env, goals, depth, mode)
+                    assert choose_play(env, spec, goals, depth,
+                                       eq1_mode=mode) == expected, (k, mode)
+                plan = plan_once(env, spec, walkthrough_desires(),
+                                 discovered=chosen, depth=depth,
+                                 eq1_mode=mode)
+                assert list(plan.alternates) == brute_force_plays(
+                    env, plan.chosen_goals, depth, mode), (k, mode)
+                assert plan.total_reward == play_reward(
+                    env, plan.plays, plan.chosen_goals, eq1_mode=mode)
 
 
 class TestVertexWeight:
@@ -512,6 +584,16 @@ class TestPlanOnce:
         assert set(plan.plays) == {"agent-1", "agent-2", "agent-3"}
         assert all(len(p) == 2 for p in plan.plays.values())
         assert plan.alternates[0] == plan.plays
+
+    def test_walkthrough_depth_three(self):
+        env = walkthrough_env()
+        plan = plan_once(env, system_spec(), walkthrough_desires(),
+                         discovered=["b1", "b2"], depth=3)
+        assert len(plan.alternates) == 1050
+        assert plan.alternates[0] == plan.plays
+        values = {play_reward(env, play, plan.chosen_goals)
+                  for play in plan.alternates}
+        assert not any(a < b for a in values for b in values)
 
 
 class TestSimulate:
