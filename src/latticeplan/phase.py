@@ -9,7 +9,6 @@ immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import LatticePlanError, LimitExceeded
@@ -258,18 +257,23 @@ def plus_additive(x: MonoidSubset, y: MonoidSubset) -> MonoidSubset:
 
 def enumerate_facts(space: PhaseSpace,
                     max_carrier: int = DEFAULT_CARRIER_BOUND) -> list[MonoidSubset]:
-    """All fixed points of the double dual, scanning every carrier subset."""
+    """All fixed points of the double dual, by size, then by members.
+
+    Every fact is the dual of some subset Y, and the dual of Y is the
+    intersection of the principal facts dual({m}) for m in Y. So the facts
+    are the whole carrier closed under intersection with each principal
+    fact: n rounds over the facts found so far, not a scan of all 2^n
+    subsets.
+    """
     n = len(space.carrier)
     if n > max_carrier:
         raise CarrierTooLarge(
             f"carrier has {n} elements; fact enumeration is bounded at {max_carrier}")
-    facts = []
-    elems = sorted(space.carrier)
-    for r in range(n + 1):
-        for combo in combinations(elems, r):
-            candidate = MonoidSubset(space, frozenset(combo))
-            if is_fact(candidate):
-                facts.append(candidate)
+    found = {frozenset(space.carrier)}
+    for m in space.carrier:
+        principal = dual(MonoidSubset(space, frozenset([m]))).members
+        found |= {f & principal for f in found}
+    facts = [MonoidSubset(space, f) for f in found]
     facts.sort(key=lambda f: (len(f.members), f.sorted_members()))
     return facts
 

@@ -7,9 +7,10 @@ lattice per agent. `environment` is the grid, and `planner` the loop
 parameters. Field names are frozen in docs/scenario-format.md.
 
 Parsing is split from validation: parse_scenario only checks structure
-and raises ParseError with a field path; build_scenario runs the semantic
-validators and raises their specific errors, while validation_report
-runs every check independently and reports each outcome.
+and raises ParseError with a field path. The semantic checks form one
+ordered list: build_scenario runs it and raises the first failure's own
+error, while validation_report runs every check it can and reports each
+outcome.
 """
 
 from __future__ import annotations
@@ -128,14 +129,31 @@ class RawScenario:
     planner: PlannerConfig
 
 
+# libyaml's composer recurses in C without a depth check: with an 8 MB stack
+# (CPython 3.11, Linux x86-64) it overflows at about 24,000 levels of nesting
+# and the process dies. A level costs at least one character, so texts up to
+# this length nest at most 16,384 deep. Longer texts go to the pure-Python
+# loader, which builds the same documents and raises RecursionError instead.
+C_LOADER_MAX_CHARS = 16 * 1024
+
+
 def parse_scenario(path: str) -> RawScenario:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read scenario: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"scenario is not UTF-8 text: {exc}") from exc
+    loader = getattr(yaml, "CSafeLoader", None)  # None without libyaml
+    if loader is None or len(text) > C_LOADER_MAX_CHARS:
+        loader = yaml.SafeLoader
+    try:
+        doc = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise ParseError(f"scenario is not valid YAML: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("scenario nests too deeply to parse") from exc
     doc = _as_map(doc, "document")
 
     phase = _as_map(_get(doc, "phase", "document"), "phase")
@@ -342,36 +360,35 @@ def _check_planner(raw: RawScenario, env: GridEnvironment) -> None:
         raise PlannerError(f"max steps {cfg.max_steps} must be >= 0")
 
 
-def validation_report(raw: RawScenario) -> list:
-    """Run every semantic check independently; (name, ok, message) rows.
+def _run_checks(raw: RawScenario, rows: list | None) -> Scenario:
+    """Run the semantic checks in their fixed order; return what they build.
 
-    Later checks depending on an earlier failed artifact are reported as
-    skipped failures so the report stays complete and deterministic.
+    Without rows, the first failure's exception propagates. With rows,
+    every check adds a (name, ok, message) row, a check that depends on
+    the artifact of a failed one is reported skipped instead of run, and
+    each failed artifact is None in the returned Scenario.
     """
-    rows = []
-    phase = op_cl = spec = env = None
-    desire_lattices: dict = {}
-
     def run(name, fn, *deps):
-        nonlocal rows
-        missing = [d for d in deps if d is None]
-        if missing:
+        if any(d is None for d in deps):
             rows.append((name, False, "skipped: depends on a failed check"))
             return None
         try:
             result = fn()
         except LatticePlanError as exc:
+            if rows is None:
+                raise
             rows.append((name, False, str(exc)))
             return None
-        rows.append((name, True, ""))
+        if rows is not None:
+            rows.append((name, True, ""))
         return result
 
     phase = run("phase-monoid", lambda: _build_phase(raw))
     op_cl = run("op-cl-classes", lambda: _build_op_cl(raw, phase), phase)
     spec = run("system-lattice", lambda: _build_spec(raw, phase, op_cl),
                phase)
-    for agent_id in sorted(raw.agent_lattices):
-        body = raw.agent_lattices[agent_id]
+    desire_lattices = {}
+    for agent_id, body in sorted(raw.agent_lattices.items()):
         dl = run(f"desire-lattice {agent_id}",
                  lambda body=body: _build_desire_lattice(body))
         if dl is not None:
@@ -382,22 +399,26 @@ def validation_report(raw: RawScenario) -> list:
         lambda: _check_cross_references(raw, env, desire_lattices),
         spec, env, ok_lattices)
     run("planner-config", lambda: _check_planner(raw, env), env)
+    return Scenario(phase=phase, op_cl=op_cl, spec=spec,
+                    desire_lattices=desire_lattices, env=env,
+                    planner=raw.planner)
+
+
+def validation_report(raw: RawScenario) -> list:
+    """Run every semantic check; (name, ok, message) rows in check order.
+
+    Later checks depending on an earlier failed artifact are reported as
+    skipped failures so the report stays complete and deterministic.
+    """
+    rows: list = []
+    _run_checks(raw, rows)
     return rows
 
 
 def build_scenario(raw: RawScenario) -> Scenario:
-    """Validate every section, raising the first semantic error."""
-    phase = _build_phase(raw)
-    op_cl = _build_op_cl(raw, phase)
-    spec = _build_spec(raw, phase, op_cl)
-    desire_lattices = {aid: _build_desire_lattice(body)
-                       for aid, body in sorted(raw.agent_lattices.items())}
-    env = _build_env(raw)
-    _check_cross_references(raw, env, desire_lattices)
-    _check_planner(raw, env)
-    return Scenario(phase=phase, op_cl=op_cl, spec=spec,
-                    desire_lattices=desire_lattices, env=env,
-                    planner=raw.planner)
+    """Validate every section, raising the first semantic error: the one
+    behind the first FAIL row of validation_report."""
+    return _run_checks(raw, None)
 
 
 def load_scenario(path: str) -> Scenario:

@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 from latticeplan.cli import main
+from latticeplan.scenario import C_LOADER_MAX_CHARS
 
 ROOT = Path(__file__).resolve().parent.parent
 BUNDLED = str(ROOT / "scenarios" / "walkthrough.yaml")
@@ -118,12 +119,57 @@ class TestValidateCommand:
         assert code == 2
         assert err.startswith("parse error:")
 
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes("phase: {unit: \u00e9}\n".encode("latin-1"))
+        code, _, err = run_main(capsys, "validate", "--scenario", str(path))
+        assert code == 2
+        assert err.startswith("parse error: scenario is not UTF-8 text")
+
+
+# Texts up to C_LOADER_MAX_CHARS go to libyaml, whose composer recurses in
+# C; longer ones to the pure-Python loader, which raises RecursionError.
+PAD_PAST_C_LOADER = "\n# " + "x" * C_LOADER_MAX_CHARS + "\n"
+DEEP_DOCUMENTS = {
+    "flow-2000": "[" * 2000 + "]" * 2000,
+    "flow-2000-padded": "[" * 2000 + "]" * 2000 + PAD_PAST_C_LOADER,
+    "flow-100000": "[" * 100000 + "]" * 100000,
+    "block-8000": "- " * 8000 + "x\n",
+    # one character per level: the deepest a text within the gate can go
+    "unclosed-flow-16384": "[" * 16384,
+    # merge keys are flattened recursively in Python on both paths
+    "merge-2500": "a: " + "{<<: " * 2500 + "{}" + "}" * 2500 + "\n",
+}
+
+
+class TestDeepNesting:
+    """Each document runs in a child process, so a crash in C fails the
+    test instead of ending the test run."""
+
+    @pytest.mark.parametrize("name", sorted(DEEP_DOCUMENTS))
+    def test_exits_2_without_traceback(self, tmp_path, name):
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(DEEP_DOCUMENTS[name], encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "latticeplan.cli", "validate",
+             "--scenario", str(path)],
+            capture_output=True, text=True, env=child_env(), timeout=120)
+        assert result.returncode == 2, result.stderr[-500:]
+        assert result.stderr.startswith("parse error:")
+        assert "Traceback" not in result.stderr
+
 
 class TestFactsCommand:
     def test_bundled_facts_table(self, capsys):
         code, out, _ = run_main(capsys, "facts", "--scenario", BUNDLED)
         assert code == 0
         assert out.splitlines() == FACTS_LINES
+
+    def test_enumerate_facts_is_one_object(self):
+        # the benchmark's traced run patches it under both names
+        from latticeplan import cli, phase, planner
+        assert cli.enumerate_facts is planner.enumerate_facts \
+            is phase.enumerate_facts
 
 
 class TestWeightsCommand:

@@ -1,6 +1,7 @@
 """Phase-space validation, duality laws, and connective algebra."""
 
-from itertools import combinations
+import random
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -258,6 +259,57 @@ class TestFacts:
         assert once == again
         sizes = [len(m) for m in once]
         assert sizes == sorted(sizes)
+
+
+def random_factor(rng, k):
+    """A commutative monoid on range(k): elements, product and unit."""
+    kinds = ["cyclic", "min", "max"] + (["union"] if k in (1, 2, 4) else [])
+    kind = rng.choice(kinds)
+    if kind == "cyclic":
+        return range(k), lambda x, y: (x + y) % k, 0
+    if kind == "min":
+        return range(k), min, k - 1
+    if kind == "max":
+        return range(k), max, 0
+    return range(k), lambda x, y: x | y, 0
+
+
+def random_product_monoid(rng, n):
+    """A product of cyclic groups and semilattices with n elements, under
+    shuffled names, and a random false set."""
+    sizes = []
+    while n > 1:
+        k = rng.choice([d for d in range(2, n + 1) if n % d == 0])
+        sizes.append(k)
+        n //= k
+    factors = [random_factor(rng, k) for k in sizes or [1]]
+    tuples = list(product(*(f[0] for f in factors)))
+    labels = [f"m{i}" for i in range(len(tuples))]
+    rng.shuffle(labels)
+    name = dict(zip(tuples, labels))
+    def mul(x, y):
+        return tuple(f[1](a, b) for f, a, b in zip(factors, x, y))
+    table = {(name[x], name[y]): name[mul(x, y)]
+             for x in tuples for y in tuples}
+    unit = name[tuple(f[2] for f in factors)]
+    share = rng.choice([0.2, 0.4, 0.6])
+    false_set = [name[t] for t in tuples if rng.random() < share]
+    return validate_monoid([name[t] for t in tuples], table, unit, false_set)
+
+
+class TestFactEnumerationOracle:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_fixed_points_of_every_subset(self, seed):
+        # the definition: every subset X with dual(dual(X)) == X, ordered
+        # by size, then by members; carriers of 1 to 10 elements
+        space = random_product_monoid(random.Random(seed), 1 + seed % 10)
+        expected = [x.members for x in all_subsets(space)
+                    if oracle_dual(space, oracle_dual(space, x.members))
+                    == x.members]
+        expected.sort(key=lambda m: (len(m), sorted(m)))
+        facts = enumerate_facts(space)
+        assert [f.members for f in facts] == expected
+        assert all(f.space is space for f in facts)
 
 
 class TestConnectives:

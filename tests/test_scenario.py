@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 import yaml
 
+from latticeplan.errors import LatticePlanError, LimitExceeded
 from latticeplan.planner import PlannerError, vertex_weight
 from latticeplan.scenario import (
+    C_LOADER_MAX_CHARS,
     ParseError,
     PlannerConfig,
     build_scenario,
@@ -47,6 +49,35 @@ def parse_mutated(tmp_path, mutate):
     doc = bundled_doc()
     mutate(doc)
     return parse_scenario(write_doc(tmp_path, doc))
+
+
+def cyclic_phase(doc, n):
+    """Give the document the phase space Z_n with false set {0}: its facts
+    are the empty set, the singletons and the carrier."""
+    elems = [str(i) for i in range(n)]
+    doc["phase"] = {
+        "carrier": elems, "unit": "0",
+        "product": {x: {y: str((int(x) + int(y)) % n) for y in elems}
+                    for x in elems},
+        "false_set": ["0"], "op": [[], ["0"]], "cl": [elems, ["0"]],
+        "goal_map": {"a1": ["0"], "a2": ["0"], "a3": ["0"],
+                     "b1": ["1"], "b2": ["2"], "b3": [str(n - 1)]}}
+    doc["lattices"].pop("system")
+
+
+def spy_loaders(monkeypatch):
+    """Record the loader class of every yaml.load call."""
+    used, load = [], yaml.load
+
+    def spy(stream, Loader):
+        used.append(Loader)
+        return load(stream, Loader)
+    monkeypatch.setattr(yaml, "load", spy)
+    return used
+
+
+C_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+PAD = "\n# " + "x" * C_LOADER_MAX_CHARS + "\n"
 
 
 class TestBundledScenario:
@@ -188,6 +219,102 @@ class TestParseErrors:
         assert raw.system_names == {}
         scenario = build_scenario(raw)
         assert scenario.env.obstacles == frozenset()
+
+
+class TestLoaderPaths:
+    @pytest.mark.parametrize("carrier", [None, 12])
+    def test_padding_past_the_gate_gives_the_same_raw_scenario(
+            self, tmp_path, monkeypatch, carrier):
+        if carrier is None:
+            with open(BUNDLED, encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            doc = bundled_doc()
+            cyclic_phase(doc, carrier)
+            text = yaml.safe_dump(doc)
+        short, padded = tmp_path / "short.yaml", tmp_path / "padded.yaml"
+        short.write_text(text, encoding="utf-8")
+        padded.write_text(text + PAD, encoding="utf-8")
+        used = spy_loaders(monkeypatch)
+        raw = parse_scenario(str(short))
+        raw_padded = parse_scenario(str(padded))
+        assert used == [C_LOADER, yaml.SafeLoader]
+        assert vars(raw) == vars(raw_padded)
+        assert all(ok for _, ok, _ in validation_report(raw))
+
+    @pytest.mark.parametrize("pad", ["", PAD])
+    def test_invalid_yaml_on_both_paths(self, tmp_path, pad):
+        path = tmp_path / "broken.yaml"
+        path.write_text("phase: [unclosed\n" + pad, encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            parse_scenario(str(path))
+        assert "not valid YAML" in str(exc.value)
+
+    def test_without_libyaml_short_texts_use_the_python_loader(
+            self, monkeypatch):
+        expected = vars(parse_scenario(BUNDLED))
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        used = spy_loaders(monkeypatch)
+        assert vars(parse_scenario(BUNDLED)) == expected
+        assert used == [yaml.SafeLoader]
+
+
+def _set(*keys_and_value):
+    *keys, last, value = keys_and_value
+    def mutate(doc):
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+# name -> (the first check that fails, mutation of the walkthrough)
+BROKEN_DOCUMENTS = {
+    "non-associative": (
+        "phase-monoid", _set("phase", "product", "u", "v", "e")),
+    "op-not-dual-to-cl": (
+        "op-cl-classes", _set("phase", "op", [[], ["e"], ["u"]])),
+    "goal-not-a-fact": (
+        "system-lattice", _set("phase", "goal_map", "b1", ["e", "w"])),
+    "carrier-too-large": (
+        "system-lattice", lambda doc: cyclic_phase(doc, 13)),
+    "bad-desires": (
+        "desire-lattice agent-2",
+        _set("lattices", "agents", "agent-2", "desires", [])),
+    "agent-on-obstacle": (
+        "environment", _set("environment", "agents", 0, "position", [0, 2])),
+    "unmapped-movement-goal": (
+        "cross-references",
+        _set("environment", "agents", 0, "movement_goal", "zz")),
+    "patience-zero": ("planner-config", _set("planner", "patience", 0)),
+    "depth-too-large": ("planner-config", _set("planner", "depth", 5)),
+    "phase-and-environment": ("phase-monoid", lambda doc: (
+        _set("phase", "product", "u", "v", "e")(doc),
+        _set("environment", "agents", 0, "position", [0, 2])(doc))),
+    "desires-environment-planner": ("desire-lattice agent-3", lambda doc: (
+        _set("lattices", "agents", "agent-3", "desires", [])(doc),
+        _set("environment", "agents", 0, "position", [0, 2])(doc),
+        _set("planner", "patience", 0)(doc))),
+}
+
+
+class TestOnePipeline:
+    @pytest.mark.parametrize("name", sorted(BROKEN_DOCUMENTS))
+    def test_build_raises_the_first_failed_check(self, tmp_path, name):
+        first_check, mutate = BROKEN_DOCUMENTS[name]
+        raw = parse_mutated(tmp_path, mutate)
+        rows = validation_report(raw)
+        assert [row[0] for row in rows] == REPORT_NAMES
+        failed = [(check, message) for check, ok, message in rows if not ok]
+        assert failed[0][0] == first_check
+        with pytest.raises(LatticePlanError) as exc:
+            build_scenario(raw)
+        assert str(exc.value) == failed[0][1]
+
+    def test_carrier_bound_is_a_limit(self, tmp_path):
+        raw = parse_mutated(tmp_path, BROKEN_DOCUMENTS["carrier-too-large"][1])
+        with pytest.raises(LimitExceeded):
+            build_scenario(raw)
 
 
 class TestValidationReport:
