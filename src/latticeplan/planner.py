@@ -3,17 +3,24 @@
 Priorities of goal subsets are evaluated in the system phase space as
 par(dual(a1 (x) ... (x) al), b1 (x) ... (x) bk). Joint plays are scored in
 the reward lattice, which sees each agent's path only through a small
-signature; the exact search combines classes of equal signatures and
-expands only the maximal ones into plays. Ties between agents break on
-desire-lattice vertex weights, then on agent order. The simulation loop is
-receding-horizon: one committed move per step, full re-planning after.
+bitmask signature of its visited cells. The exact search finds the
+maximal rewards over the classes of signatures that no other class
+covers, keeps every class combination that reaches one, and returns the
+plays of those combinations as a lazy sequence, expanded only when read
+past its first play. Ties between agents break on desire-lattice vertex
+weights, then on agent order. The simulation loop is receding-horizon:
+one committed move per step, full re-planning after.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations, product
+from functools import reduce
+from itertools import combinations, product
+from math import prod
+from operator import and_, itemgetter, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import LatticePlanError, LimitExceeded
@@ -195,35 +202,88 @@ def _seen_at_start(env: GridEnvironment) -> frozenset:
                                for a in env.agents))
 
 
-def _signature(env: GridEnvironment, agent, cells, goals, eq1_mode: str,
-               scouted: frozenset) -> tuple:
-    """All that the reward of a joint play needs from one agent's path.
+class _Encoder:
+    """Signatures of visited cells as bitmasks, with bits numbered per search.
 
-    Per-goal mode keeps the newly scouted features and the agent's best
-    view of each goal over its cells. Positionwise mode joins each cell's
-    meet of the goal views into the scouted features, as both join along
-    the play anyway.
+    A signature is all that the reward of a joint play needs from one
+    agent's path: the newly scouted features, and the agent's best view of
+    each goal (per-goal mode), or each cell's meet of the goal views joined
+    into the scouted features (positionwise mode, as both join along the
+    play anyway). Either way it is the componentwise join of its cells'
+    signatures, so it depends only on the set of cells visited. Features
+    are bits of an int: join is `|`, meet is `&`.
     """
-    seen = frozenset().union(
-        *(grid.observed_cells(env, c, agent.horizon) for c in cells))
-    scouts = frozenset(scout_feature(c) for c in seen - scouted)
-    if eq1_mode == "per-goal":
-        return scouts, tuple(
-            frozenset().union(*(grid.reward(env, c, g, agent.horizon)
-                                for c in cells)) for g in goals)
-    if goals:
-        for c in cells:
-            scouts |= frozenset.intersection(
-                *(grid.reward(env, c, g, agent.horizon) for g in goals))
-    return scouts, ()
+
+    def __init__(self, env: GridEnvironment, goals, eq1_mode: str,
+                 scouted: frozenset):
+        self.env, self.goals = env, goals
+        self.eq1_mode, self.scouted = eq1_mode, scouted
+        self.bits: dict = {}  # feature name -> bit position
+        self._cells: dict = {}  # (cell, horizon) -> signature
+
+    def encode(self, features) -> int:
+        value = 0
+        for name in features:
+            value |= 1 << self.bits.setdefault(name, len(self.bits))
+        return value
+
+    def decode(self, value: int) -> frozenset:
+        return frozenset(name for name, bit in self.bits.items()
+                         if value >> bit & 1)
+
+    def _cell(self, cell, horizon: int) -> tuple:
+        sig = self._cells.get((cell, horizon))
+        if sig is None:
+            seen = grid.observed_cells(self.env, cell, horizon)
+            scouts = self.encode(scout_feature(c) for c in seen - self.scouted)
+            views = tuple(self.encode(grid.reward(self.env, cell, g, horizon))
+                          for g in self.goals)
+            if self.eq1_mode == "per-goal":
+                sig = scouts, views
+            else:
+                sig = (scouts | reduce(and_, views) if views else scouts), ()
+            self._cells[cell, horizon] = sig
+        return sig
+
+    def signature(self, agent, cells) -> tuple:
+        return _join([self._cell(c, agent.horizon) for c in cells])
 
 
-def _combine(signatures) -> frozenset:
+def _join(signatures) -> tuple:
+    """Componentwise join: scouted features, then each goal's view."""
+    scouts = 0
+    for s, _ in signatures:
+        scouts |= s
+    return scouts, tuple(reduce(or_, per_goal) for per_goal
+                         in zip(*(views for _, views in signatures)))
+
+
+def _combine(signatures) -> int:
     """Joint reward: scouted features plus the meet of the goal views."""
-    value = frozenset().union(*(scouts for scouts, _ in signatures))
-    views = [frozenset().union(*per_goal)
-             for per_goal in zip(*(v for _, v in signatures))]
-    return value | frozenset.intersection(*views) if views else value
+    scouts, views = _join(signatures)
+    return scouts | reduce(and_, views) if views else scouts
+
+
+def _covered(low: tuple, high: tuple) -> bool:
+    """Whether signature `low` lies componentwise within `high`."""
+    return low[0] | high[0] == high[0] and all(
+        a | b == b for a, b in zip(low[1], high[1]))
+
+
+def _by_dominance(signatures: list) -> dict:
+    """Each non-dominated signature, with the signatures it stands for.
+
+    A signature is dominated when another one covers it. Covering is a
+    strict order on distinct signatures, so some non-dominated one covers
+    each dominated one; it goes to the first such, in the given order. A
+    non-dominated signature stands for itself.
+    """
+    top = [s for s in signatures
+           if not any(t != s and _covered(s, t) for t in signatures)]
+    groups: dict = {t: [] for t in top}
+    for s in signatures:
+        groups[next(t for t in top if _covered(s, t))].append(s)
+    return groups
 
 
 def play_reward(env: GridEnvironment, joint_play: Mapping,
@@ -241,8 +301,9 @@ def play_reward(env: GridEnvironment, joint_play: Mapping,
     goals = [env.goal(g) for g in chosen_goals]
     if scouted is None:
         scouted = _seen_at_start(env)
-    return _combine([_signature(env, a, positions[a.id], goals, eq1_mode,
-                                scouted) for a in env.agents])
+    enc = _Encoder(env, goals, eq1_mode, scouted)
+    return enc.decode(_combine([enc.signature(a, positions[a.id])
+                                for a in env.agents]))
 
 
 def check_search_bounds(depth: int, agent_count: int) -> None:
@@ -271,19 +332,93 @@ def _agent_paths(env: GridEnvironment, start, depth: int) -> list:
     return paths
 
 
+def _share(idxs, agent: int, agents: int) -> int:
+    """One agent's part of a joint play's order key.
+
+    Plays are ordered by their interleaved move indices: each step's
+    indices in agent order. Read as base-5 digits (a move index is 0-4),
+    that sequence is a number, the sum of the agents' shares.
+    """
+    share = 0
+    for move in idxs:
+        share = share * 5 ** agents + move
+    return share * 5 ** (agents - 1 - agent)
+
+
+def _expand_plays(agent_ids: tuple, combos: list) -> list:
+    """Every play of the class combinations, in order of their keys."""
+    keyed = []
+    for members in combos:
+        shares = product(*([share for _, share in m] for m in members))
+        paths = product(*([cells for cells, _ in m] for m in members))
+        keyed.extend(zip(map(sum, shares), paths))
+    keyed.sort(key=itemgetter(0))
+    return [dict(zip(agent_ids, paths)) for _, paths in keyed]
+
+
+class MaximalPlays(SequenceABC):
+    """Read-only sequence of the reward-maximal joint plays, in order.
+
+    It holds the maximal class combinations, each a list of per-agent
+    member lists of (cells, `_share`), sorted by share. `len` sums the
+    products of the member counts. `[0]` needs no expansion: a play's key
+    is the sum of its agents' shares, so the smallest play of a product of
+    per-agent path sets joins each agent's own smallest path, and `[0]` is
+    the least combination of first members. Any other read expands and
+    sorts every play once and keeps the list.
+    """
+
+    def __init__(self, agent_ids, combos: list):
+        self._agent_ids = tuple(agent_ids)
+        self._combos = combos
+        self._len = sum(prod(map(len, members)) for members in combos)
+        self._plays: list | None = None
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        if self._plays is None and index == 0:
+            firsts = min(([m[0] for m in members] for members in self._combos),
+                         key=lambda combo: sum(share for _, share in combo))
+            return dict(zip(self._agent_ids, (cells for cells, _ in firsts)))
+        return self._expanded()[index]
+
+    def __iter__(self):
+        return iter(self._expanded())
+
+    def _expanded(self) -> list:
+        if self._plays is None:
+            self._plays = _expand_plays(self._agent_ids, self._combos)
+        return self._plays
+
+    def __eq__(self, other):
+        if not isinstance(other, SequenceABC):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+
 def choose_play(env: GridEnvironment, spec: GoalLatticeSpec,
                 chosen_goals: Sequence[str], depth: int, *,
                 eq1_mode: str = "per-goal",
-                scouted: frozenset | None = None) -> list:
+                scouted: frozenset | None = None) -> MaximalPlays:
     """Every reward-maximal joint play of the given depth, exactly.
 
-    Each agent's paths are grouped into classes of equal `_signature`, and
-    `_combine` scores each combination of classes once. Values are scanned
-    by decreasing size against the maxima found so far: a set lies strictly
-    below only larger sets, and what lies below a non-maximal value lies
-    below a maximal one found before it. Only maximal class combinations
-    are expanded into joint plays (agent id to cells, start excluded), in
-    lexicographic order of their interleaved move indices.
+    Each agent's paths are grouped into classes of equal signature,
+    computed once per set of visited cells, and `_combine` scores class
+    combinations. A class is dominated when another class of the same
+    agent covers it componentwise, scouted features and every goal view.
+    `_combine` is monotone, so a combination's value lies at or below that
+    of the combination with each dominated class replaced by one that
+    dominates it, and finally by a non-dominated one. Every value thus
+    lies below a value of the product of non-dominated classes, so the
+    maximal values of the full product are the maxima of that smaller
+    product, found by scanning its values by decreasing size against the
+    maxima so far. A dominated class can still tie a maximal value, so
+    every combination over all classes whose value is maximal is kept.
+    The result is a lazy `MaximalPlays` over those combinations: joint
+    plays (agent id to cells, start excluded) in lexicographic order of
+    their interleaved move indices.
     """
     check_search_bounds(depth, len(env.agents))
     known = {g.id for g in env.goals}
@@ -296,38 +431,36 @@ def choose_play(env: GridEnvironment, spec: GoalLatticeSpec,
     goals = [env.goal(g) for g in chosen_goals]
     if scouted is None:
         scouted = _seen_at_start(env)
+    enc = _Encoder(env, goals, eq1_mode, scouted)
 
     per_agent = []
-    for a in env.agents:
+    for i, a in enumerate(env.agents):
         paths = _agent_paths(env, a.position, depth)
         if not paths:
             raise NoLegalPlay(f"agent {a.id} has no legal path")
+        by_visited: dict = {}
         classes: dict = {}
         for cells, idxs in paths:
-            sig = _signature(env, a, cells, goals, eq1_mode, scouted)
-            classes.setdefault(sig, []).append((cells[1:], idxs))
-        per_agent.append(classes.items())
+            visited = frozenset(cells)
+            sig = by_visited.get(visited)
+            if sig is None:
+                sig = by_visited[visited] = enc.signature(a, visited)
+            classes.setdefault(sig, []).append(
+                (cells[1:], _share(idxs, i, len(env.agents))))
+        per_agent.append(classes)
 
-    by_value: dict = {}
-    for combo in product(*per_agent):
-        value = _combine([sig for sig, _ in combo])
-        by_value.setdefault(value, []).append([paths for _, paths in combo])
-    maxima: list = []
-    for value in sorted(by_value, key=len, reverse=True):
-        if not any(value < m for m in maxima):
-            maxima.append(value)
-
-    chosen = []
-    for value in maxima:
-        for members in by_value[value]:
-            for combo in product(*members):
-                key = tuple(chain.from_iterable(
-                    zip(*(idxs for _, idxs in combo))))
-                chosen.append((key, combo))
-    chosen.sort(key=lambda kp: kp[0])
-    agent_ids = [a.id for a in env.agents]
-    return [{aid: cells for aid, (cells, _) in zip(agent_ids, combo)}
-            for _, combo in chosen]
+    groups = [_by_dominance(list(classes)) for classes in per_agent]
+    values = {top: _combine(top) for top in product(*groups)}
+    maxima: set = set()
+    for value in sorted(set(values.values()), key=int.bit_count,
+                        reverse=True):
+        if not any(value | m == m for m in maxima):
+            maxima.add(value)
+    combos = [[classes[sig] for classes, sig in zip(per_agent, combo)]
+              for top, value in values.items() if value in maxima
+              for combo in product(*(g[sig] for g, sig in zip(groups, top)))
+              if _combine(combo) == value]
+    return MaximalPlays([a.id for a in env.agents], combos)
 
 
 @dataclass(frozen=True)
@@ -423,7 +556,7 @@ class ItineraryPlan:
     tie_break: bool
     assignment: dict
     plays: dict
-    alternates: tuple
+    alternates: Sequence  # a MaximalPlays, expanded only when read
     total_reward: frozenset
 
 
@@ -467,7 +600,7 @@ def plan_once(env: GridEnvironment, spec: GoalLatticeSpec,
     return ItineraryPlan(
         chosen_goals=tuple(chosen), priority_value=priority,
         priority_name=spec.fact_name(priority), tie_break=tie_break,
-        assignment=assignment, plays=play, alternates=tuple(maxima),
+        assignment=assignment, plays=play, alternates=maxima,
         total_reward=total)
 
 

@@ -205,6 +205,12 @@ class TestPlanCommand:
         assert "alternates=40" in lines
         assert "reward=detail,outline,profile" in lines
 
+    def test_depth_four_counts_alternates(self, capsys):
+        code, out, _ = run_main(
+            capsys, "plan", "--scenario", BUNDLED, "--depth", "4")
+        assert code == 0
+        assert "alternates=475024" in out.splitlines()
+
     def test_depth_override_beyond_exact_bound_exits_3(self, capsys):
         code, _, err = run_main(
             capsys, "plan", "--scenario", BUNDLED, "--depth", "9")
@@ -281,6 +287,16 @@ class TestDotCommand:
         assert out.startswith("digraph agent-game-agent-1-1 {")
         assert "{detail,outline,profile}" in out
         assert "frozenset" not in out
+
+    def test_deep_agent_game_exits_3_before_building(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "latticeplan.cli", "dot",
+             "--scenario", BUNDLED, "agent-game:agent-1:14"],
+            capture_output=True, text=True, env=child_env(), timeout=120)
+        assert result.returncode == 3, result.stderr[-500:]
+        assert result.stdout == ""
+        assert result.stderr.startswith("limit exceeded:")
+        assert "Traceback" not in result.stderr
 
     def test_unknown_target_exits_1(self, capsys):
         code, _, err = run_main(

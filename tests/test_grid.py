@@ -4,14 +4,18 @@ import random
 
 import pytest
 
+from latticeplan.errors import LimitExceeded
 from latticeplan.games import enumerate_plays
 from latticeplan.grid import (
     AgentState,
+    GAME_VERTEX_BOUND,
     DuplicateId,
+    GameTooLarge,
     GoalObject,
     InvalidEnvironment,
     OnObstacle,
     OutOfBounds,
+    agent_game_vertices,
     agent_moves,
     bresenham_line,
     build_agent_game,
@@ -294,6 +298,26 @@ class TestAgentGame:
     def test_negative_depth_rejected(self):
         with pytest.raises(InvalidEnvironment):
             build_agent_game(self.env(), "a1", -1)
+
+    def test_vertex_count_matches_the_built_game(self):
+        env = make_env(agents=[AgentState("a1", (0, 0), 1, "m1")],
+                       obstacles=[(1, 1)])
+        for depth in range(5):
+            built = build_agent_game(env, "a1", depth)
+            assert agent_game_vertices(env, (0, 0), depth) \
+                == len(built.vertices)
+
+    def test_oversized_game_is_refused_before_building(self):
+        walled = make_env(agents=[AgentState("a1", (1, 1), 1, "m1")],
+                          obstacles=[(1, 0), (2, 1), (1, 2), (0, 1)])
+        staying = GAME_VERTEX_BOUND // 2
+        assert agent_game_vertices(walled, (1, 1), staying - 1) \
+            == 2 * staying - 1
+        for env, depth in ((walled, staying), (self.env(), 14),
+                           (self.env(), 10 ** 9)):
+            with pytest.raises(GameTooLarge, match="over 50000 vertices"):
+                build_agent_game(env, "a1", depth)
+        assert issubclass(GameTooLarge, LimitExceeded)
 
 
 class TestWithPositions:

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from latticeplan import grid
+from latticeplan import planner as planner_module
 from latticeplan.grid import AgentState, GoalObject, build_environment
 from latticeplan.lattice import ForeignElement, verify_poset
 from latticeplan.phase import (
@@ -440,6 +441,88 @@ class TestChoosePlayOracle:
                     env, plan.plays, plan.chosen_goals, eq1_mode=mode)
 
 
+def path_signature(env, agent, cells, goal_ids, eq1_mode, scouted):
+    """What the reward needs of one agent's cells (start included): newly
+    scouted features, then each goal's best view (per-goal), or each
+    cell's meet of the goal views joined into them (positionwise)."""
+    seen = frozenset().union(*(grid.observed_cells(env, c, agent.horizon)
+                               for c in cells))
+    scouts = frozenset(grid.scout_feature(c) for c in seen - scouted)
+    views = [[grid.reward(env, c, g, agent.horizon) for g in goal_ids]
+             for c in cells]
+    if eq1_mode == "per-goal":
+        return scouts, tuple(frozenset().union(*per_goal)
+                             for per_goal in zip(*views))
+    if goal_ids:
+        scouts = scouts.union(*(frozenset.intersection(*v) for v in views))
+    return scouts, ()
+
+
+def covered(low, high):
+    return low[0] <= high[0] and all(a <= b for a, b in zip(low[1], high[1]))
+
+
+def dominated_paths(env, goal_ids, depth, eq1_mode):
+    """Per agent, the paths (start excluded) whose signature another of
+    its paths covers componentwise and strictly."""
+    scouted = frozenset().union(*(grid.observed_cells(env, a.position,
+                                                      a.horizon)
+                                  for a in env.agents))
+    out = {}
+    for a in env.agents:
+        paths = [(a.position,)]
+        for _ in range(depth):
+            paths = [p + (t,) for p in paths
+                     for t in grid.agent_moves(env, p[-1])]
+        sigs = {p[1:]: path_signature(env, a, p, goal_ids, eq1_mode, scouted)
+                for p in paths}
+        out[a.id] = {p for p, mine in sigs.items()
+                     if any(s != mine and covered(mine, s)
+                            for s in sigs.values())}
+    return out
+
+
+def random_small_grid(rng):
+    """A grid of at most 3x3 with 1-2 walkthrough agents and goals b1, b2."""
+    width, height = rng.randint(2, 3), rng.randint(2, 3)
+    cells = [(c, r) for c in range(width) for r in range(height)]
+    obstacles = [cell for cell in cells if rng.random() < 0.15]
+    free = [cell for cell in cells if cell not in obstacles]
+    if len(free) < 2:
+        obstacles, free = [], cells
+    agents = [AgentState(f"agent-{i + 1}", cell, rng.randint(0, 2), f"a{i + 1}")
+              for i, cell in enumerate(rng.sample(free, rng.randint(1, 2)))]
+    goals = [GoalObject(gid, rng.choice(free),
+                        tuple((name, rng.randint(0, 2))
+                              for name in rng.sample(["far", "mid", "near"],
+                                                     rng.randint(1, 3))))
+             for gid in ("b1", "b2")]
+    return build_environment(width, height, obstacles, agents, goals)
+
+
+class TestChoosePlayOracleDepthThree:
+    """The benchmark's depth, where dominated classes tie maximal values."""
+
+    def test_ordered_brute_force_with_dominated_ties(self):
+        spec = system_spec()
+        ties = 0
+        for k in range(12):
+            rng = random.Random(9300 + k)
+            env = random_small_grid(rng)
+            chosen = rng.sample(["b1", "b2"], rng.randint(1, 2))
+            for mode in EQ1_MODES:
+                for goals in ([], chosen):
+                    expected = brute_force_plays(env, goals, 3, mode)
+                    got = choose_play(env, spec, goals, 3, eq1_mode=mode)
+                    assert len(got) == len(expected), (k, mode, goals)
+                    assert got[0] == expected[0], (k, mode, goals)
+                    assert list(got) == expected, (k, mode, goals)
+                    dominated = dominated_paths(env, goals, 3, mode)
+                    ties += any(play[aid] in paths for play in expected
+                                for aid, paths in dominated.items())
+        assert ties > 0
+
+
 class TestVertexWeight:
     def test_walkthrough_weights_exact(self):
         desires = walkthrough_desires()
@@ -594,6 +677,69 @@ class TestPlanOnce:
         values = {play_reward(env, play, plan.chosen_goals)
                   for play in plan.alternates}
         assert not any(a < b for a in values for b in values)
+
+
+DEPTH_FOUR_PLAY = {
+    "agent-1": ((2, 3), (2, 4), (2, 5), (1, 5)),
+    "agent-2": ((4, 2), (4, 1), (4, 0), (3, 0)),
+    "agent-3": ((6, 2), (6, 1), (6, 0), (6, 1)),
+}
+
+
+class TestLazyAlternates:
+    def test_walkthrough_depth_four(self, monkeypatch):
+        expansions = []
+        expand = planner_module._expand_plays
+
+        def spy(*args):
+            expansions.append(args)
+            return expand(*args)
+
+        monkeypatch.setattr(planner_module, "_expand_plays", spy)
+        env = walkthrough_env()
+        plan = plan_once(env, system_spec(), walkthrough_desires(),
+                         discovered=["b1", "b2"], depth=4)
+        assert plan.plays == DEPTH_FOUR_PLAY
+        assert len(plan.alternates) == 475024
+        assert plan.alternates[0] == plan.plays
+        assert plan.total_reward == {"contact", "detail", "outline", "profile",
+                                     "scout:0,0", "scout:0,1"}
+        assert expansions == []
+
+        moves = {}
+
+        def move_indices(start, path):
+            if (start, path) not in moves:
+                cells = (start,) + path
+                moves[start, path] = tuple(
+                    grid.agent_moves(env, a).index(b)
+                    for a, b in zip(cells, cells[1:]))
+            return moves[start, path]
+
+        previous = None
+        for play in plan.alternates:
+            per_agent = [move_indices(a.position, play[a.id])
+                         for a in env.agents]
+            key = tuple(i for step in zip(*per_agent) for i in step)
+            assert previous is None or previous < key
+            previous = key
+        assert len(expansions) == 1
+        assert list(plan.alternates)[0] == plan.plays
+        assert len(expansions) == 1
+
+    def test_sequence_protocol(self):
+        env = TestChoosePlay().one_agent_env()
+        spec = TestChoosePlay().spec_for(env)
+        out = choose_play(env, spec, [], 1)
+        assert len(out) == 5 and out[0] == {"a": ((1, 0),)}
+        assert out[-1] == {"a": ((1, 1),)}
+        assert out[1:3] == [{"a": ((2, 1),)}, {"a": ((1, 2),)}]
+        assert {"a": ((0, 1),)} in out
+        assert out == tuple(out) and out != list(out)[:4] and out != "abc"
+        with pytest.raises(IndexError):
+            out[5]
+        with pytest.raises(TypeError):
+            out[0] = {}
 
 
 class TestSimulate:
