@@ -5,6 +5,8 @@ are plays of polarized graph games scored in a reward lattice, and
 assignment ties break on desire-lattice vertex weights.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import LatticePlanError, LimitExceeded
 from .lattice import (
     FiniteLattice,
@@ -79,6 +81,8 @@ from .planner import (
 )
 from .scenario import ParseError, Scenario, load_scenario
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names imported above; the submodules they come from are not exports.
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 
 __version__ = "0.1.0"

@@ -24,7 +24,13 @@ from operator import and_, itemgetter, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import LatticePlanError, LimitExceeded
-from .lattice import FiniteLattice, ForeignElement, subset_id, verify_poset
+from .lattice import (
+    FiniteLattice,
+    ForeignElement,
+    check_lattice_size,
+    subset_id,
+    verify_poset,
+)
 from .phase import (
     MonoidSubset,
     OpClPartition,
@@ -108,6 +114,7 @@ def build_goal_lattice_spec(phase: PhaseSpace, goal_map: Mapping,
             raise PlannerError(
                 f"goal {goal_id!r} maps to {target.display()}, not a fact")
     facts = tuple(enumerate_facts(phase))
+    check_lattice_size(len(facts), "fact lattice")
     fact_members = {f.members for f in facts}
     for key in names:
         if key not in fact_members:

@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 from latticeplan.cli import main
+from latticeplan.lattice import LATTICE_ELEMENT_BOUND
 from latticeplan.scenario import C_LOADER_MAX_CHARS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,6 +52,19 @@ PLAN_LINES = [
     "alternates=1020",
     "reward=detail,outline,profile,scout:0,0,scout:0,1",
 ]
+
+
+# The walkthrough's agent-1 order in full: the reflexive-transitive
+# closure of its cover pairs.
+AGENT_ORDER = [
+    (a, b) for a, above in [
+        ("0", ["0", "b1", "b2", "b3", "U12", "U123"]),
+        ("b1", ["b1", "U12", "U123"]),
+        ("b2", ["b2", "U12", "U123"]),
+        ("b3", ["b3", "U123"]),
+        ("U12", ["U12", "U123"]),
+        ("U123", ["U123"]),
+    ] for b in above]
 
 
 def run_main(capsys, *argv):
@@ -118,6 +132,44 @@ class TestValidateCommand:
         code, _, err = run_main(capsys, "validate", "--scenario", str(path))
         assert code == 2
         assert err.startswith("parse error:")
+
+    def test_order_witnesses_do_not_depend_on_hash_seed(self, tmp_path):
+        def drop_implied_pair(doc):
+            body = doc["lattices"]["agents"]["agent-1"]
+            del body["covers"]
+            body["order"] = [[a, b] for a, b in AGENT_ORDER
+                             if (a, b) != ("0", "U12")]
+
+        def add_cycle(doc):
+            doc["lattices"]["agents"]["agent-1"]["covers"].append(
+                ["U123", "b3"])
+
+        cases = [
+            (drop_implied_pair,
+             "('0','b1') and ('b1','U12') without ('0','U12')"),
+            (add_cycle, "'b3' <= 'U123' and 'U123' <= 'b3'"),
+        ]
+        for mutate, witness in cases:
+            path = write_mutated(tmp_path, mutate)
+            runs = [subprocess.run(
+                [sys.executable, "-m", "latticeplan.cli", "validate",
+                 "--scenario", path],
+                capture_output=True, env=child_env(PYTHONHASHSEED=seed),
+                timeout=120) for seed in ("1", "2")]
+            assert [r.returncode for r in runs] == [1, 1]
+            assert runs[0].stdout == runs[1].stdout
+            assert runs[0].stdout.decode().splitlines() == [
+                "phase-monoid: PASS",
+                "op-cl-classes: PASS",
+                "system-lattice: PASS",
+                f"desire-lattice agent-1: FAIL ({witness})",
+                "desire-lattice agent-2: PASS",
+                "desire-lattice agent-3: PASS",
+                "environment: PASS",
+                "cross-references: FAIL"
+                " (skipped: depends on a failed check)",
+                "planner-config: PASS",
+            ]
 
     def test_non_utf8_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "latin1.yaml"
@@ -216,6 +268,24 @@ class TestPlanCommand:
             capsys, "plan", "--scenario", BUNDLED, "--depth", "9")
         assert code == 3
         assert err.startswith("limit exceeded:")
+
+    def test_oversized_desire_lattice_exits_3(self, tmp_path):
+        ids = [f"x{i}" for i in range(LATTICE_ELEMENT_BOUND + 1)]
+
+        def grow(doc):
+            body = doc["lattices"]["agents"]["agent-1"]
+            body["elements"] = ids
+            body["covers"] = [list(pair) for pair in zip(ids, ids[1:])]
+        path = write_mutated(tmp_path, grow)
+        result = subprocess.run(
+            [sys.executable, "-m", "latticeplan.cli", "plan",
+             "--scenario", path],
+            capture_output=True, text=True, env=child_env(), timeout=120)
+        assert result.returncode == 3, result.stderr[-500:]
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"limit exceeded: lattice has {len(ids)} elements;"
+            f" lattices are bounded at {LATTICE_ELEMENT_BOUND}\n")
 
     @pytest.mark.parametrize("argv, message", [
         (("plan", "--depth", "-1"),

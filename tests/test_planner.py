@@ -9,7 +9,13 @@ import pytest
 from latticeplan import grid
 from latticeplan import planner as planner_module
 from latticeplan.grid import AgentState, GoalObject, build_environment
-from latticeplan.lattice import ForeignElement, verify_poset
+from latticeplan.errors import LimitExceeded
+from latticeplan.lattice import (
+    LATTICE_ELEMENT_BOUND,
+    ForeignElement,
+    LatticeTooLarge,
+    verify_poset,
+)
 from latticeplan.phase import (
     SpaceMismatch,
     enumerate_facts,
@@ -141,6 +147,24 @@ class TestGoalLatticeSpec:
         spec = system_spec()
         with pytest.raises(UnknownGoalId):
             spec.fact_of("b9")
+
+    def test_fact_count_bounded_before_the_order_is_listed(self, monkeypatch):
+        # Z_10 with every non-zero element false: dual(X) is the complement
+        # of -X, so every one of the 1,024 subsets is a fact
+        carrier = [str(i) for i in range(10)]
+        table = {(x, y): str((int(x) + int(y)) % 10)
+                 for x in carrier for y in carrier}
+        phase = validate_monoid(carrier, table, "0", carrier[1:])
+        assert len(enumerate_facts(phase)) == 1024 > LATTICE_ELEMENT_BOUND
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the fact lattice was built")
+        monkeypatch.setattr(planner_module, "verify_poset", unreachable)
+        with pytest.raises(LatticeTooLarge) as info:
+            build_goal_lattice_spec(phase, {"b1": phase.i_fact})
+        assert isinstance(info.value, LimitExceeded)
+        assert str(info.value) == ("fact lattice has 1024 elements; lattices"
+                                   f" are bounded at {LATTICE_ELEMENT_BOUND}")
 
 
 class TestProcessPriority:
