@@ -23,7 +23,6 @@ from .phase import (
     PhaseSpace,
     dual,
     enumerate_facts,
-    fact_lattice,
     is_fact,
     linear_implication,
     par,
@@ -43,8 +42,6 @@ from .games import (
     dual_game,
     enumerate_plays,
     game_to_dot,
-    is_winning,
-    par_games,
     tensor_games,
     validate_strategy,
 )

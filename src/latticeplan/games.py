@@ -64,30 +64,16 @@ class NotDeterministic(GameError):
     pass
 
 
-class NoImplication(GameError):
-    pass
-
-
 class SetPayoffs:
     """Virtual powerset lattice over feature-name sets.
 
-    Payoff values are frozensets of strings; meet and join are intersection
-    and union. The universe is left open, so there is no top element.
+    Payoff values are frozensets of strings; meet is intersection, which
+    the tensor product uses to combine payoffs.
     """
-
-    bottom: frozenset = frozenset()
 
     @staticmethod
     def meet(a: frozenset, b: frozenset) -> frozenset:
         return a & b
-
-    @staticmethod
-    def join(a: frozenset, b: frozenset) -> frozenset:
-        return a | b
-
-    @staticmethod
-    def leq(a: frozenset, b: frozenset) -> bool:
-        return a <= b
 
     def __contains__(self, value) -> bool:
         return isinstance(value, frozenset)
@@ -196,20 +182,12 @@ class Play:
     def __len__(self) -> int:
         return len(self.moves)
 
-    @property
-    def final_vertex(self) -> Vertex:
-        return self.moves[-1][1] if self.moves else self.game.root
-
     def is_alternating(self) -> bool:
         return all(self.moves[i][2] != self.moves[i + 1][2]
                    for i in range(len(self.moves) - 1))
 
     def prefix(self, length: int) -> "Play":
         return Play(self.game, self.moves[:length])
-
-    def is_prefix_of(self, other: "Play") -> bool:
-        return (self.game is other.game
-                and other.moves[:len(self.moves)] == self.moves)
 
 
 @dataclass(frozen=True)
@@ -251,11 +229,6 @@ def tensor_games(g: ConwayGame, h: ConwayGame) -> ConwayGame:
                   for x in g.vertices for y in h.vertices}
     return build_game(vertices, (g.root, h.root), edges,
                       payoff=payoff, payoff_lattice=lattice)
-
-
-def par_games(g: ConwayGame, h: ConwayGame) -> ConwayGame:
-    """Alias of the tensor construction; the two connectives share a graph."""
-    return tensor_games(g, h)
 
 
 def enumerate_plays(game: ConwayGame, max_len: int,
@@ -319,32 +292,6 @@ def _first_difference(a: tuple, b: tuple) -> int | None:
         if a[i] != b[i]:
             return i
     return None
-
-
-def is_winning(strategy: Strategy, game: ConwayGame) -> bool:
-    """True when every maximal strategy play ends above the payoff bottom."""
-    if game.payoff is None:
-        raise NoPayoff("winning is defined only for games with payoffs")
-    bottom = game.payoff_lattice.bottom
-    plays = strategy.paths
-    for p in plays:
-        maximal = not any(p is not q and p.is_prefix_of(q) for q in plays)
-        if maximal and game.payoff[p.final_vertex] == bottom:
-            return False
-    return True
-
-
-def payoff_implies(game: ConwayGame, a, b):
-    """Relative pseudocomplement in the game's payoff lattice.
-
-    Set payoffs have an open universe and so no top, hence no implication.
-    """
-    if game.payoff_lattice is None:
-        raise NoPayoff("game carries no payoff lattice")
-    if isinstance(game.payoff_lattice, SetPayoffs):
-        raise NoImplication("set-valued payoffs have no implication: their"
-                            " universe is open, so there is no top")
-    return game.payoff_lattice.relative_pseudocomplement(a, b)
 
 
 def _payoff_label(value) -> str:

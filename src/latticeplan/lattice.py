@@ -56,10 +56,6 @@ class ForeignElement(LatticeError):
     """An identifier does not belong to the lattice it was used with."""
 
 
-class NotBrouwerian(LatticeError):
-    """The queried pair has no greatest x with meet(a, x) <= b."""
-
-
 class NotGenerating(LatticeError):
     """A declared generator set does not reach every element by joins/meets."""
 
@@ -89,30 +85,15 @@ def _reach(rows: list[int]) -> list[int]:
     return rows
 
 
-def transitive_closure(pairs: Iterable[tuple[str, str]],
-                       elements: Iterable[str]) -> set[tuple[str, str]]:
-    """Reflexive-transitive closure of a relation over the given elements."""
-    elements, pairs = list(elements), list(pairs)
-    names = list(dict.fromkeys([*elements, *(x for pair in pairs for x in pair)]))
-    index = {x: i for i, x in enumerate(names)}
-    rows = [0] * len(names)
-    for (a, b) in pairs:
-        rows[index[a]] |= 1 << index[b]
-    closed = {(a, a) for a in elements}
-    closed.update((names[i], names[j])
-                  for i, row in enumerate(_reach(rows)) for j in _bits(row))
-    return closed
-
-
 @dataclass(frozen=True, eq=False)
 class FiniteLattice:
-    """A validated finite lattice: total order relation plus join/meet tables.
+    """A validated finite lattice: each element's up-set and down-set, plus
+    join/meet tables.
 
     Instances are immutable once built; construct them through verify_poset.
     """
 
     elements: tuple[str, ...]
-    leq_pairs: frozenset[tuple[str, str]]
     top: str
     bottom: str
     generators: tuple[str, ...]
@@ -140,47 +121,6 @@ class FiniteLattice:
     def meet(self, a: str, b: str) -> str:
         self._check(a, b)
         return self.meet_table[(a, b)]
-
-    def join_set(self, subset: Iterable[str]) -> str:
-        """Fold of binary joins; the empty join is the bottom element."""
-        out = self.bottom
-        for e in subset:
-            out = self.join(out, e)
-        return out
-
-    def meet_set(self, subset: Iterable[str]) -> str:
-        """Fold of binary meets; the empty meet is the top element."""
-        out = self.top
-        for e in subset:
-            out = self.meet(out, e)
-        return out
-
-    def upper_set(self, a: str) -> frozenset[str]:
-        self._check(a)
-        return self._up[a]
-
-    def lower_set(self, a: str) -> frozenset[str]:
-        self._check(a)
-        return self._down[a]
-
-    def relative_pseudocomplement(self, a: str, b: str) -> str:
-        """Greatest x with meet(a, x) <= b, if it exists."""
-        self._check(a, b)
-        candidates = [x for x in self.elements if self.leq(self.meet(a, x), b)]
-        for x in candidates:
-            if all(self.leq(y, x) for y in candidates):
-                return x
-        raise NotBrouwerian(f"no greatest x with meet({a!r}, x) <= {b!r}")
-
-    def is_brouwer(self) -> bool:
-        """True iff every pair has a relative pseudocomplement."""
-        for a in self.elements:
-            for b in self.elements:
-                try:
-                    self.relative_pseudocomplement(a, b)
-                except NotBrouwerian:
-                    return False
-        return True
 
     def covers(self) -> list[tuple[str, str]]:
         """Transitive reduction of the order: pairs (a, b) with b covering a.
@@ -298,8 +238,6 @@ def verify_poset(elements: Sequence[str],
 
     lattice = FiniteLattice(
         elements=elems,
-        leq_pairs=frozenset((a, b) for a, above in zip(elems, up_ids)
-                            for b in above),
         top=top,
         bottom=bottom,
         generators=gens,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import LatticePlanError, LimitExceeded
-from .lattice import FiniteLattice, subset_id, verify_poset
+from .lattice import subset_id
 
 DEFAULT_CARRIER_BOUND = 12
 
@@ -255,8 +255,7 @@ def plus_additive(x: MonoidSubset, y: MonoidSubset) -> MonoidSubset:
     return closure(MonoidSubset(space, x.members | y.members))
 
 
-def enumerate_facts(space: PhaseSpace,
-                    max_carrier: int = DEFAULT_CARRIER_BOUND) -> list[MonoidSubset]:
+def enumerate_facts(space: PhaseSpace) -> list[MonoidSubset]:
     """All fixed points of the double dual, by size, then by members.
 
     Every fact is the dual of some subset Y, and the dual of Y is the
@@ -266,9 +265,9 @@ def enumerate_facts(space: PhaseSpace,
     subsets.
     """
     n = len(space.carrier)
-    if n > max_carrier:
-        raise CarrierTooLarge(
-            f"carrier has {n} elements; fact enumeration is bounded at {max_carrier}")
+    if n > DEFAULT_CARRIER_BOUND:
+        raise CarrierTooLarge(f"carrier has {n} elements; fact enumeration"
+                              f" is bounded at {DEFAULT_CARRIER_BOUND}")
     found = {frozenset(space.carrier)}
     for m in space.carrier:
         principal = dual(MonoidSubset(space, frozenset([m]))).members
@@ -276,24 +275,6 @@ def enumerate_facts(space: PhaseSpace,
     facts = [MonoidSubset(space, f) for f in found]
     facts.sort(key=lambda f: (len(f.members), f.sorted_members()))
     return facts
-
-
-def fact_lattice(space: PhaseSpace,
-                 names: Mapping[frozenset[str], str] | None = None,
-                 max_carrier: int = DEFAULT_CARRIER_BOUND) -> FiniteLattice:
-    """The facts ordered by inclusion, as a finite lattice.
-
-    Element ids are canonical member displays unless a naming map is given.
-    """
-    facts = enumerate_facts(space, max_carrier)
-    def name(f: MonoidSubset) -> str:
-        if names and f.members in names:
-            return names[f.members]
-        return f.display()
-    ids = [name(f) for f in facts]
-    pairs = [(name(a), name(b)) for a in facts for b in facts
-             if a.members <= b.members]
-    return verify_poset(ids, pairs)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from .lattice import (
 )
 from .phase import (
     MonoidSubset,
-    OpClPartition,
     PhaseSpace,
     SpaceMismatch,
     dual,
@@ -84,7 +83,6 @@ class GoalLatticeSpec:
 
     phase: PhaseSpace
     goal_map: dict
-    op_cl: OpClPartition | None
     names: dict
     lattice: FiniteLattice = field(repr=False)
     target_names: tuple
@@ -102,7 +100,6 @@ class GoalLatticeSpec:
 
 
 def build_goal_lattice_spec(phase: PhaseSpace, goal_map: Mapping,
-                            op_cl: OpClPartition | None = None,
                             names: Mapping | None = None) -> GoalLatticeSpec:
     """Validate targets and materialize the fact lattice with display names."""
     names = {frozenset(k): v for k, v in (names or {}).items()}
@@ -130,9 +127,8 @@ def build_goal_lattice_spec(phase: PhaseSpace, goal_map: Mapping,
              for a in facts for b in facts if a.members <= b.members]
     lattice = verify_poset(ids, pairs)
     targets = tuple(sorted({by_members[t.members] for t in goal_map.values()}))
-    return GoalLatticeSpec(phase=phase, goal_map=dict(goal_map), op_cl=op_cl,
-                           names=names, lattice=lattice, target_names=targets,
-                           facts=facts)
+    return GoalLatticeSpec(phase=phase, goal_map=dict(goal_map), names=names,
+                           lattice=lattice, target_names=targets, facts=facts)
 
 
 def _tensor_fold(spec: GoalLatticeSpec, facts: Iterable[MonoidSubset]):
@@ -162,7 +158,9 @@ def select_intentions(spec: GoalLatticeSpec, discovered: Iterable[str],
 
     Candidates are the non-empty subsets of the (filtered) discovered goals
     up to max_size. Every subset whose priority is maximal in the fact
-    lattice is returned; incomparable maxima are all kept.
+    lattice is returned; incomparable maxima are all kept. The maxima are
+    found among the distinct priorities, which are facts, so there are at
+    most as many as facts however many candidates there are.
     """
     pool = sorted(discovered)
     if reachability_filter is not None:
@@ -173,13 +171,10 @@ def select_intentions(spec: GoalLatticeSpec, discovered: Iterable[str],
         for combo in combinations(pool, size):
             candidates.append((combo, process_priority(spec, movement_ids,
                                                        combo)))
-    out = []
-    for combo, priority in candidates:
-        dominated = any(priority.members < other.members
-                        for _, other in candidates)
-        if not dominated:
-            out.append((combo, priority))
-    return out
+    values = {priority.members for _, priority in candidates}
+    maxima = {v for v in values if not any(v < other for other in values)}
+    return [(combo, priority) for combo, priority in candidates
+            if priority.members in maxima]
 
 
 def subset_score(spec: GoalLatticeSpec, subset: Sequence[str]) -> Fraction:
@@ -324,21 +319,6 @@ def check_search_bounds(depth: int, agent_count: int) -> None:
                             f" {EXHAUSTIVE_AGENT_BOUND}")
 
 
-def _agent_paths(env: GridEnvironment, start, depth: int) -> list:
-    """All position sequences of the given depth, with move-index keys."""
-    paths = []
-
-    def walk(cells, idxs):
-        if len(idxs) == depth:
-            paths.append((cells, idxs))
-            return
-        for i, target in enumerate(grid.agent_moves(env, cells[-1])):
-            walk(cells + (target,), idxs + (i,))
-
-    walk((tuple(start),), ())
-    return paths
-
-
 def _share(idxs, agent: int, agents: int) -> int:
     """One agent's part of a joint play's order key.
 
@@ -442,7 +422,7 @@ def choose_play(env: GridEnvironment, spec: GoalLatticeSpec,
 
     per_agent = []
     for i, a in enumerate(env.agents):
-        paths = _agent_paths(env, a.position, depth)
+        paths = grid.agent_paths(env, a.position, depth)[-1]
         if not paths:
             raise NoLegalPlay(f"agent {a.id} has no legal path")
         by_visited: dict = {}

@@ -307,11 +307,10 @@ def _build_op_cl(raw: RawScenario, phase: PhaseSpace) -> OpClPartition:
     return validate_op_cl(phase, opens, closeds)
 
 
-def _build_spec(raw: RawScenario, phase: PhaseSpace,
-                op_cl: OpClPartition | None) -> GoalLatticeSpec:
+def _build_spec(raw: RawScenario, phase: PhaseSpace) -> GoalLatticeSpec:
     goal_map = {gid: phase.subset(m)
                 for gid, m in raw.goal_map_members.items()}
-    return build_goal_lattice_spec(phase, goal_map, op_cl, raw.system_names)
+    return build_goal_lattice_spec(phase, goal_map, raw.system_names)
 
 
 def _build_desire_lattice(body: Mapping) -> DesireLattice:
@@ -385,8 +384,7 @@ def _run_checks(raw: RawScenario, rows: list | None) -> Scenario:
 
     phase = run("phase-monoid", lambda: _build_phase(raw))
     op_cl = run("op-cl-classes", lambda: _build_op_cl(raw, phase), phase)
-    spec = run("system-lattice", lambda: _build_spec(raw, phase, op_cl),
-               phase)
+    spec = run("system-lattice", lambda: _build_spec(raw, phase), phase)
     desire_lattices = {}
     for agent_id, body in sorted(raw.agent_lattices.items()):
         dl = run(f"desire-lattice {agent_id}",

@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 from latticeplan.cli import main
+from latticeplan.grid import GRID_CELL_BOUND, HORIZON_BOUND
 from latticeplan.lattice import LATTICE_ELEMENT_BOUND
 from latticeplan.scenario import C_LOADER_MAX_CHARS
 
@@ -286,6 +287,48 @@ class TestPlanCommand:
         assert result.stderr == (
             f"limit exceeded: lattice has {len(ids)} elements;"
             f" lattices are bounded at {LATTICE_ELEMENT_BOUND}\n")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("horizon", HORIZON_BOUND + 1,
+         f"agent agent-1 has horizon {HORIZON_BOUND + 1};"
+         f" horizons are bounded at {HORIZON_BOUND}"),
+        ("width", 100_000,
+         f"grid of 100000x7 has 700000 cells;"
+         f" grids are bounded at {GRID_CELL_BOUND}"),
+    ], ids=["horizon", "width"])
+    def test_oversized_grid_exits_3(self, tmp_path, key, value, message):
+        def grow(doc):
+            env = doc["environment"]
+            (env["agents"][0] if key == "horizon" else env)[key] = value
+        path = write_mutated(tmp_path, grow)
+        result = subprocess.run(
+            [sys.executable, "-m", "latticeplan.cli", "plan",
+             "--scenario", path],
+            capture_output=True, text=True, env=child_env(), timeout=120)
+        assert result.returncode == 3, result.stderr[-500:]
+        assert result.stdout == ""
+        assert result.stderr == f"limit exceeded: {message}\n"
+        assert "Traceback" not in result.stderr
+        report = subprocess.run(
+            [sys.executable, "-m", "latticeplan.cli", "validate",
+             "--scenario", path],
+            capture_output=True, text=True, env=child_env(), timeout=120)
+        assert report.returncode == 1
+        assert f"environment: FAIL ({message})" in report.stdout.splitlines()
+
+    def test_grid_at_the_bounds_loads(self, tmp_path, capsys):
+        side = int(GRID_CELL_BOUND ** 0.5)
+        assert side * side == GRID_CELL_BOUND
+
+        def grow(doc):
+            env = doc["environment"]
+            env["width"] = env["height"] = side
+            for agent in env["agents"]:
+                agent["horizon"] = HORIZON_BOUND
+        path = write_mutated(tmp_path, grow)
+        code, out, err = run_main(capsys, "validate", "--scenario", path)
+        assert code == 0 and err == ""
+        assert "environment: PASS" in out.splitlines()
 
     @pytest.mark.parametrize("argv, message", [
         (("plan", "--depth", "-1"),

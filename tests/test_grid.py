@@ -9,14 +9,18 @@ from latticeplan.games import enumerate_plays
 from latticeplan.grid import (
     AgentState,
     GAME_VERTEX_BOUND,
+    GRID_CELL_BOUND,
+    HORIZON_BOUND,
     DuplicateId,
     GameTooLarge,
+    GridTooLarge,
     GoalObject,
     InvalidEnvironment,
     OnObstacle,
     OutOfBounds,
     agent_game_vertices,
     agent_moves,
+    agent_paths,
     bresenham_line,
     build_agent_game,
     build_environment,
@@ -26,8 +30,6 @@ from latticeplan.grid import (
     reachable,
     reward,
     scout_feature,
-    vertex_cell,
-    vertex_kind,
     visible_goals,
 )
 
@@ -80,6 +82,28 @@ class TestBuildEnvironment:
         with pytest.raises(InvalidEnvironment):
             make_env(goals=[GoalObject("g", (0, 0), (("f", -2),))])
 
+    def test_size_and_horizon_bounds_are_checked_first(self):
+        def untouched():
+            raise AssertionError("obstacles read before the bounds")
+            yield
+
+        far = AgentState("a", (9, 9), HORIZON_BOUND + 1, "m")
+        for width, height, agents, message in [
+                (GRID_CELL_BOUND + 1, 1, [],
+                 f"grid of {GRID_CELL_BOUND + 1}x1 has {GRID_CELL_BOUND + 1}"
+                 f" cells; grids are bounded at {GRID_CELL_BOUND}"),
+                (4, 4, [AgentState("b", (0, 0), 0, "m"), far],
+                 f"agent a has horizon {HORIZON_BOUND + 1};"
+                 f" horizons are bounded at {HORIZON_BOUND}")]:
+            with pytest.raises(GridTooLarge) as info:
+                make_env(width, height, untouched(), agents)
+            assert str(info.value) == message
+            assert isinstance(info.value, LimitExceeded)
+        # the bounds themselves are admitted
+        env = make_env(GRID_CELL_BOUND // 2, 2,
+                       agents=[AgentState("a", (0, 0), HORIZON_BOUND, "m")])
+        assert env.width * env.height == GRID_CELL_BOUND
+
     def test_rejects_reserved_feature_prefix(self):
         with pytest.raises(InvalidEnvironment):
             make_env(goals=[GoalObject("g", (0, 0), (("scout:1,1", 3),))])
@@ -127,7 +151,6 @@ class TestReward:
         env = one_goal_env([("r1", 5)], goal_at=(5, 5), agent_at=(2, 2))
         assert reward(env, (2, 2), "g1", 2) == frozenset()
         assert reward(env, (2, 2), "g1", 3) == {"r1"}
-        assert reward(env, (2, 2), "g1", None) == {"r1"}
 
     def test_occlusion_hides_goal(self):
         env = one_goal_env([("r1", 8)], goal_at=(6, 6), agent_at=(2, 2),
@@ -138,9 +161,9 @@ class TestReward:
     def test_invalid_observer_position(self):
         env = one_goal_env([("r1", 3)], obstacles=[(1, 1)])
         with pytest.raises(OutOfBounds):
-            reward(env, (40, 0), "g1")
+            reward(env, (40, 0), "g1", 3)
         with pytest.raises(OnObstacle):
-            reward(env, (1, 1), "g1")
+            reward(env, (1, 1), "g1", 3)
 
     def test_reward_is_cached_and_stable(self):
         env = one_goal_env([("r1", 5), ("r2", 2)])
@@ -277,19 +300,23 @@ class TestAgentGame:
     def test_reveal_payoff_reflects_landing_cell(self):
         g = build_agent_game(self.env(), "a1", 1)
         east = ("r", ((3, 3), (4, 3)))
-        assert vertex_cell(east) == (4, 3)
-        assert vertex_kind(east) == "r"
         assert g.payoff[east] == {"near", "far"}
 
-    def test_goal_restriction(self):
-        agent = AgentState("a1", (3, 3), 5, "m1")
-        goals = [GoalObject("g1", (4, 3), (("f1", 5),)),
-                 GoalObject("g2", (2, 3), (("f2", 5),))]
-        env = make_env(agents=[agent], goals=goals)
-        both = build_agent_game(env, "a1", 0)
-        only2 = build_agent_game(env, "a1", 0, goal_ids=["g2"])
-        assert both.payoff[both.root] == {"f1", "f2"}
-        assert only2.payoff[only2.root] == {"f2"}
+    def test_agent_paths_by_level_in_move_index_order(self):
+        env = make_env(width=3, height=3, obstacles=[(1, 0)])
+        levels = agent_paths(env, (0, 0), 3)
+        assert levels[0] == [(((0, 0),), ())]
+        for depth, level in enumerate(levels):
+            idxs = [i for _, i in level]
+            assert idxs == sorted(idxs) and len(set(idxs)) == len(idxs)
+            for cells, path in level:
+                assert len(cells) == depth + 1 and len(path) == depth
+                for step, i in enumerate(path):
+                    assert agent_moves(env, cells[step])[i] == cells[step + 1]
+        # (0, 0) can go south or stay; (0, 1) north, east, south or stay
+        assert [len(level) for level in levels[:3]] == [1, 2, 6]
+        assert 1 + 2 * sum(map(len, levels[1:])) \
+            == agent_game_vertices(env, (0, 0), 3)
 
     def test_vertex_count_bound(self):
         g = build_agent_game(self.env(), "a1", 2)

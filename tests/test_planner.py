@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -21,7 +21,6 @@ from latticeplan.phase import (
     enumerate_facts,
     linear_implication,
     validate_monoid,
-    validate_op_cl,
 )
 from latticeplan.planner import (
     EQ1_MODES,
@@ -72,9 +71,7 @@ def system_spec(phase=None):
         "b2": phase.subset(["e", "v"]),
         "b3": phase.subset(["u", "v"]),
     }
-    op_cl = validate_op_cl(phase, [phase.zero, phase.i_fact],
-                           [phase.one, phase.false_fact])
-    return build_goal_lattice_spec(phase, goal_map, op_cl, SYSTEM_NAMES)
+    return build_goal_lattice_spec(phase, goal_map, SYSTEM_NAMES)
 
 
 def desire_lattice(desires, intention):
@@ -248,12 +245,45 @@ class TestSelectIntentions:
         spec = system_spec()
         discovered = ["b1", "b2", "b3"]
         out = select_intentions(spec, discovered, movement_ids=MOVEMENT)
-        from itertools import combinations
         for _, priority in out:
             for size in (1, 2, 3):
                 for combo in combinations(discovered, size):
                     other = process_priority(spec, MOVEMENT, combo)
                     assert not priority.members < other.members
+
+    def test_matches_the_pairwise_definition(self):
+        """Seeded instances of up to 20 goals, against a brute-force copy
+        that compares every candidate with every other one."""
+        def pairwise(spec, discovered, keep, movement_ids, max_size):
+            pool = [g for g in sorted(discovered) if keep(g)]
+            cap = len(pool) if max_size is None else min(max_size, len(pool))
+            candidates = [(combo, process_priority(spec, movement_ids, combo))
+                          for size in range(1, cap + 1)
+                          for combo in combinations(pool, size)]
+            kept = [(combo, p) for combo, p in candidates
+                    if not any(p.members < q.members for _, q in candidates)]
+            return kept, len(candidates)
+
+        phase = union_phase()
+        facts = enumerate_facts(phase)
+        tied = dropped = 0
+        for seed in range(16):
+            rng = random.Random(seed)
+            n = rng.randint(1, 20)
+            goals = [f"g{i}" for i in range(n)]
+            movement = [f"m{i}" for i in range(rng.randint(0, 3))]
+            spec = build_goal_lattice_spec(
+                phase, {g: rng.choice(facts) for g in goals + movement})
+            discovered = rng.sample(goals, rng.randint(0, n))
+            hidden = set(rng.sample(discovered, len(discovered) // 4))
+            max_size = rng.choice([1, 2, 3] + ([None] if n <= 10 else []))
+            args = (spec, discovered, lambda g: g not in hidden)
+            expected, candidates = pairwise(*args, movement, max_size)
+            assert select_intentions(*args, movement_ids=movement,
+                                     max_size=max_size) == expected, seed
+            tied += len({p.members for _, p in expected}) > 1
+            dropped += len(expected) < candidates
+        assert tied and dropped, (tied, dropped)
 
     def test_subset_score_values(self):
         spec = system_spec()
@@ -545,6 +575,44 @@ class TestChoosePlayOracleDepthThree:
                     ties += any(play[aid] in paths for play in expected
                                 for aid, paths in dominated.items())
         assert ties > 0
+
+
+def replay(env, start, idxs):
+    """The cells of the path that takes the given move indices."""
+    cells = (start,)
+    for move in idxs:
+        cells += (grid.agent_moves(env, cells[-1])[move],)
+    return cells
+
+
+class TestOneUnroller:
+    def test_game_reveals_are_the_search_paths(self, monkeypatch):
+        """The paths choose_play scores at depth d, each seen as its move
+        indices, are the cells of the agent game's reveal vertices at
+        depth d, for every agent."""
+        spec = system_spec()
+        scored = []
+        share = planner_module._share
+
+        def recording(idxs, agent, agents):
+            scored.append((agent, idxs))
+            return share(idxs, agent, agents)
+
+        monkeypatch.setattr(planner_module, "_share", recording)
+        for k in range(8):
+            rng = random.Random(9500 + k)
+            env = random_small_grid(rng)
+            for depth in range(4):
+                scored.clear()
+                choose_play(env, spec, ["b1"], depth)
+                for i, a in enumerate(env.agents):
+                    paths = [replay(env, a.position, idxs)
+                             for agent, idxs in scored if agent == i]
+                    game = grid.build_agent_game(env, a.id, depth)
+                    reveals = [cells for kind, cells in game.vertices
+                               if kind == "r" and len(cells) == depth + 1]
+                    assert len(set(paths)) == len(paths)
+                    assert sorted(paths) == sorted(reveals), (k, depth, a.id)
 
 
 class TestVertexWeight:
