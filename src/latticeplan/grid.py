@@ -9,6 +9,7 @@ frozensets of feature names, ordered by inclusion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .errors import LatticePlanError, LimitExceeded
@@ -25,14 +26,15 @@ GAME_VERTEX_BOUND = 50_000
 
 # Largest observer horizon, checked first in `build_environment`. One
 # `observed_cells` call on an open grid (CPU time, Python 3.11) takes
-# 1.0 ms at horizon 8, 5.6 ms at 16, 42 ms at 32 and 277 ms at 64, and
-# the search makes one per distinct visited cell.
+# 0.7 ms at horizon 8 and 3.8 ms at 16, and the search makes one per
+# distinct visited cell. The bound also sizes the cache of sight lines,
+# one per endpoint difference, that `_between` keeps.
 HORIZON_BOUND = 16
 
-# Largest grid, in cells, checked first in `build_environment`. One
-# `reachable` call that floods an open grid takes 16 ms at 4,096 cells,
-# 65 ms at 16,384, 268 ms at 65,536 and 1.2 s at 262,144; each decision
-# cycle makes one per discovered goal and agent.
+# Largest grid, in cells, checked first in `build_environment`. Flooding
+# an open grid in `reachable` takes 16 ms at 4,096 cells, 65 ms at 16,384,
+# 268 ms at 65,536 and 1.2 s at 262,144; an environment and its moved
+# copies flood each free component at most once.
 GRID_CELL_BOUND = 65_536
 
 
@@ -91,6 +93,7 @@ class GridEnvironment:
     goals: tuple
     _reward_cache: dict = field(default_factory=dict, repr=False)
     _seen_cache: dict = field(default_factory=dict, repr=False)
+    _flood_cache: dict = field(default_factory=dict, repr=False)
 
     def in_bounds(self, cell: Cell) -> bool:
         c, r = cell
@@ -120,7 +123,8 @@ class GridEnvironment:
         return GridEnvironment(
             width=self.width, height=self.height, obstacles=self.obstacles,
             agents=tuple(moved), goals=self.goals,
-            _reward_cache=self._reward_cache, _seen_cache=self._seen_cache)
+            _reward_cache=self._reward_cache, _seen_cache=self._seen_cache,
+            _flood_cache=self._flood_cache)
 
 
 def _check_free(env: GridEnvironment, cell: Cell, what: str) -> None:
@@ -203,10 +207,22 @@ def bresenham_line(a: Cell, b: Cell) -> list:
             r0 += sr
 
 
+@lru_cache(maxsize=(2 * HORIZON_BOUND + 1) ** 2)
+def _between(dc: int, dr: int) -> tuple:
+    """Offsets of the line's cells strictly between (0, 0) and (dc, dr).
+
+    A Bresenham line depends only on the difference of its endpoints, and
+    sight lines within the horizon bound span at most 33x33 differences.
+    """
+    return tuple(bresenham_line((0, 0), (dc, dr))[1:-1])
+
+
 def line_of_sight(env: GridEnvironment, a: Cell, b: Cell) -> bool:
     """True when no obstacle lies strictly between the endpoints."""
-    return not any(cell in env.obstacles
-                   for cell in bresenham_line(a, b)[1:-1])
+    c, r = a
+    obstacles = env.obstacles
+    return not any((c + x, r + y) in obstacles
+                   for x, y in _between(b[0] - c, b[1] - r))
 
 
 def reward(env: GridEnvironment, position: Cell, goal,
@@ -277,23 +293,29 @@ def agent_moves(env: GridEnvironment, position: Cell) -> list:
 
 
 def reachable(env: GridEnvironment, start: Cell, target: Cell) -> bool:
-    """Whether a 4-connected obstacle-free path joins the two cells."""
+    """Whether a 4-connected obstacle-free path joins the two cells.
+
+    Floods are kept in the environment's cache under every cell they
+    have reached. A call resumes the flood that reached its start until
+    that flood reaches the target or fills its component, so each free
+    cell is expanded at most once per environment and its moved copies.
+    """
     start, target = tuple(start), tuple(target)
     _check_free(env, start, "start")
     _check_free(env, target, "target")
     if start == target:
         return True
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        cell = frontier.pop()
-        for nxt in agent_moves(env, cell)[:-1]:
-            if nxt == target:
-                return True
+    flood = env._flood_cache.get(start)
+    if flood is None:
+        flood = env._flood_cache[start] = ({start}, [start])
+    seen, frontier = flood
+    while target not in seen and frontier:
+        for nxt in agent_moves(env, frontier.pop())[:-1]:
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return False
+                env._flood_cache[nxt] = flood
+    return target in seen
 
 
 def agent_game_vertices(env: GridEnvironment, start: Cell, depth: int) -> int:

@@ -1,15 +1,17 @@
 """Decision core: goal priorities, play selection, weights, assignment.
 
 Priorities of goal subsets are evaluated in the system phase space as
-par(dual(a1 (x) ... (x) al), b1 (x) ... (x) bk). Joint plays are scored in
-the reward lattice, which sees each agent's path only through a small
-bitmask signature of its visited cells. The exact search finds the
-maximal rewards over the classes of signatures that no other class
-covers, keeps every class combination that reaches one, and returns the
-plays of those combinations as a lazy sequence, expanded only when read
-past its first play. Ties between agents break on desire-lattice vertex
-weights, then on agent order. The simulation loop is receding-horizon:
-one committed move per step, full re-planning after.
+par(dual(a1 (x) ... (x) al), b1 (x) ... (x) bk), once per multiset of the
+goals' facts. Joint plays are scored in the reward lattice, which sees
+each agent's path only through a signature of its visited cells packed
+into one int, so join, cover and reward are single int operations. The
+exact search finds the maximal rewards over the classes of signatures
+that no other class covers, keeps every class combination that reaches
+one, and returns the plays of those combinations as a lazy sequence,
+expanded only when read past its first play. Ties between agents break
+on desire-lattice vertex weights, then on agent order. The simulation
+loop is receding-horizon: one committed move per step, full re-planning
+after.
 """
 
 from __future__ import annotations
@@ -158,7 +160,9 @@ def select_intentions(spec: GoalLatticeSpec, discovered: Iterable[str],
 
     Candidates are the non-empty subsets of the (filtered) discovered goals
     up to max_size. Every subset whose priority is maximal in the fact
-    lattice is returned; incomparable maxima are all kept. The maxima are
+    lattice is returned; incomparable maxima are all kept. A priority
+    depends only on the multiset of the goals' facts, as tensor is
+    commutative, so it is evaluated once per multiset. The maxima are
     found among the distinct priorities, which are facts, so there are at
     most as many as facts however many candidates there are.
     """
@@ -166,12 +170,25 @@ def select_intentions(spec: GoalLatticeSpec, discovered: Iterable[str],
     if reachability_filter is not None:
         pool = [g for g in pool if reachability_filter(g)]
     cap = len(pool) if max_size is None else min(max_size, len(pool))
+    fact_no: dict = {}  # goal id -> a number per distinct fact
+    if cap:
+        for goal_id in movement_ids:  # unknown ids fail in the order
+            spec.fact_of(goal_id)     # process_priority reads them
+        numbers: dict = {}
+        for g in pool:
+            fact_no[g] = numbers.setdefault(spec.fact_of(g).members,
+                                            len(numbers))
+    priorities: dict = {}  # sorted fact numbers -> priority
     candidates = []
     for size in range(1, cap + 1):
         for combo in combinations(pool, size):
-            candidates.append((combo, process_priority(spec, movement_ids,
-                                                       combo)))
-    values = {priority.members for _, priority in candidates}
+            key = tuple(sorted([fact_no[g] for g in combo]))
+            priority = priorities.get(key)
+            if priority is None:
+                priority = priorities[key] = process_priority(
+                    spec, movement_ids, combo)
+            candidates.append((combo, priority))
+    values = {priority.members for priority in priorities.values()}
     maxima = {v for v in values if not any(v < other for other in values)}
     return [(combo, priority) for combo, priority in candidates
             if priority.members in maxima]
@@ -205,71 +222,108 @@ def _seen_at_start(env: GridEnvironment) -> frozenset:
 
 
 class _Encoder:
-    """Signatures of visited cells as bitmasks, with bits numbered per search.
+    """Path signatures packed into single ints, bits numbered per search.
 
     A signature is all that the reward of a joint play needs from one
-    agent's path: the newly scouted features, and the agent's best view of
-    each goal (per-goal mode), or each cell's meet of the goal views joined
-    into the scouted features (positionwise mode, as both join along the
-    play anyway). Either way it is the componentwise join of its cells'
-    signatures, so it depends only on the set of cells visited. Features
-    are bits of an int: join is `|`, meet is `&`.
+    agent's path: the agent's best view of each goal (per-goal mode), or
+    each cell's meet of the goal views (positionwise mode, as that meet
+    joins along the play anyway), and the newly scouted features. It packs
+    them into one int: a slot of `width` bits per goal view, or a single
+    slot in positionwise mode, where `width` counts the distinct feature
+    names of the goals, numbered up front; the scouted features sit above
+    the slots. A signature is the join of its cells' signatures, so it
+    depends only on the set of cells visited. Join is `|`, and `a` lies
+    within `b` when `a | b == b`; `value` reads the reward off a signature.
     """
 
     def __init__(self, env: GridEnvironment, goals, eq1_mode: str,
                  scouted: frozenset):
-        self.env, self.goals = env, goals
-        self.eq1_mode, self.scouted = eq1_mode, scouted
-        self.bits: dict = {}  # feature name -> bit position
+        self.env, self.goals, self.scouted = env, goals, scouted
+        self.features: dict = {}  # goal feature name -> bit position
+        for g in goals:
+            for name in g.feature_names():
+                self.features.setdefault(name, len(self.features))
+        self.width = len(self.features)
+        self.per_goal = eq1_mode == "per-goal"
+        slots = len(goals) if self.per_goal else 1
+        self.shifts = [i * self.width for i in range(slots)]
+        self.scout_shift = slots * self.width
+        self.scouts: dict = {}  # scouted cell -> bit position above the slots
         self._cells: dict = {}  # (cell, horizon) -> signature
 
-    def encode(self, features) -> int:
+    def _bits(self, names) -> int:
         value = 0
-        for name in features:
-            value |= 1 << self.bits.setdefault(name, len(self.bits))
+        for name in names:
+            value |= 1 << self.features[name]
         return value
 
-    def decode(self, value: int) -> frozenset:
-        return frozenset(name for name, bit in self.bits.items()
-                         if value >> bit & 1)
-
-    def _cell(self, cell, horizon: int) -> tuple:
+    def _cell(self, cell, horizon: int) -> int:
         sig = self._cells.get((cell, horizon))
         if sig is None:
-            seen = grid.observed_cells(self.env, cell, horizon)
-            scouts = self.encode(scout_feature(c) for c in seen - self.scouted)
-            views = tuple(self.encode(grid.reward(self.env, cell, g, horizon))
-                          for g in self.goals)
-            if self.eq1_mode == "per-goal":
-                sig = scouts, views
-            else:
-                sig = (scouts | reduce(and_, views) if views else scouts), ()
+            sig = 0
+            for c in grid.observed_cells(self.env, cell, horizon) \
+                    - self.scouted:
+                sig |= 1 << self.scouts.setdefault(c, len(self.scouts))
+            sig <<= self.scout_shift
+            views = [self._bits(grid.reward(self.env, cell, g, horizon))
+                     for g in self.goals]
+            if self.per_goal:
+                for shift, view in zip(self.shifts, views):
+                    sig |= view << shift
+            elif views:
+                sig |= reduce(and_, views)
             self._cells[cell, horizon] = sig
         return sig
 
-    def signature(self, agent, cells) -> tuple:
-        return _join([self._cell(c, agent.horizon) for c in cells])
+    def signature(self, agent, cells) -> int:
+        sig = 0
+        for c in cells:
+            sig |= self._cell(c, agent.horizon)
+        return sig
+
+    def value(self, sig: int) -> int:
+        """Reward bits: the goal features, then the scouted features.
+
+        The meet of the goal slots, below the scout bits shifted down to
+        sit right above it; with one slot or none, the signature itself.
+        """
+        if len(self.shifts) < 2:
+            return sig
+        meet = (1 << self.width) - 1
+        for shift in self.shifts:
+            meet &= sig >> shift
+        return sig >> self.scout_shift << self.width | meet
+
+    def decode(self, value: int) -> frozenset:
+        scouts = value >> self.width
+        return frozenset(
+            [name for name, bit in self.features.items() if value >> bit & 1]
+            + [scout_feature(c) for c, bit in self.scouts.items()
+               if scouts >> bit & 1])
 
 
-def _join(signatures) -> tuple:
-    """Componentwise join: scouted features, then each goal's view."""
-    scouts = 0
-    for s, _ in signatures:
-        scouts |= s
-    return scouts, tuple(reduce(or_, per_goal) for per_goal
-                         in zip(*(views for _, views in signatures)))
+def _maximal(values) -> set:
+    """The values that no other value covers (`b` covers `a` when
+    `a | b == b`).
 
-
-def _combine(signatures) -> int:
-    """Joint reward: scouted features plus the meet of the goal views."""
-    scouts, views = _join(signatures)
-    return scouts | reduce(and_, views) if views else scouts
-
-
-def _covered(low: tuple, high: tuple) -> bool:
-    """Whether signature `low` lies componentwise within `high`."""
-    return low[0] | high[0] == high[0] and all(
-        a | b == b for a, b in zip(low[1], high[1]))
+    Scanned by decreasing bit count, anything covering a value comes before
+    it, and so does a maximum covering that. A maximum covering the value
+    holds its top bit, so only the maxima found so far that hold that bit
+    are tried; each bit's list of them is brought up to date when a value
+    with that top bit is tried. The value 0 is tried against every maximum.
+    """
+    maxima: list = []
+    holding: dict = {}  # top bit -> (maxima holding it, maxima read so far)
+    for value in sorted(set(values), key=int.bit_count, reverse=True):
+        bucket = maxima
+        if value:
+            top = 1 << value.bit_length() - 1
+            bucket, read = holding.get(top, ([], 0))
+            bucket.extend(filter(top.__and__, maxima[read:]))
+            holding[top] = bucket, len(maxima)
+        if value not in map(value.__and__, bucket):
+            maxima.append(value)
+    return set(maxima)
 
 
 def _by_dominance(signatures: list) -> dict:
@@ -280,11 +334,10 @@ def _by_dominance(signatures: list) -> dict:
     each dominated one; it goes to the first such, in the given order. A
     non-dominated signature stands for itself.
     """
-    top = [s for s in signatures
-           if not any(t != s and _covered(s, t) for t in signatures)]
-    groups: dict = {t: [] for t in top}
+    tops = _maximal(signatures)
+    groups: dict = {s: [] for s in signatures if s in tops}
     for s in signatures:
-        groups[next(t for t in top if _covered(s, t))].append(s)
+        groups[next(t for t in groups if s | t == t)].append(s)
     return groups
 
 
@@ -304,8 +357,8 @@ def play_reward(env: GridEnvironment, joint_play: Mapping,
     if scouted is None:
         scouted = _seen_at_start(env)
     enc = _Encoder(env, goals, eq1_mode, scouted)
-    return enc.decode(_combine([enc.signature(a, positions[a.id])
-                                for a in env.agents]))
+    return enc.decode(enc.value(reduce(
+        or_, [enc.signature(a, positions[a.id]) for a in env.agents], 0)))
 
 
 def check_search_bounds(depth: int, agent_count: int) -> None:
@@ -392,16 +445,16 @@ def choose_play(env: GridEnvironment, spec: GoalLatticeSpec,
     """Every reward-maximal joint play of the given depth, exactly.
 
     Each agent's paths are grouped into classes of equal signature,
-    computed once per set of visited cells, and `_combine` scores class
-    combinations. A class is dominated when another class of the same
-    agent covers it componentwise, scouted features and every goal view.
-    `_combine` is monotone, so a combination's value lies at or below that
-    of the combination with each dominated class replaced by one that
-    dominates it, and finally by a non-dominated one. Every value thus
-    lies below a value of the product of non-dominated classes, so the
-    maximal values of the full product are the maxima of that smaller
-    product, found by scanning its values by decreasing size against the
-    maxima so far. A dominated class can still tie a maximal value, so
+    computed once per set of visited cells, and a class combination is
+    scored as the `value` of the join of its signatures. A class is
+    dominated when another class of the same agent covers it, scouted
+    features and every goal view. Join and `value` are monotone, so a
+    combination's value lies at or below that of the combination with
+    each dominated class replaced by one that dominates it, and finally
+    by a non-dominated one. Every value thus lies below a value of the
+    product of non-dominated classes, so the maximal values of the full
+    product are the maxima of that smaller product, which `_maximal`
+    finds. A dominated class can still tie a maximal value, so
     every combination over all classes whose value is maximal is kept.
     The result is a lazy `MaximalPlays` over those combinations: joint
     plays (agent id to cells, start excluded) in lexicographic order of
@@ -437,16 +490,13 @@ def choose_play(env: GridEnvironment, spec: GoalLatticeSpec,
         per_agent.append(classes)
 
     groups = [_by_dominance(list(classes)) for classes in per_agent]
-    values = {top: _combine(top) for top in product(*groups)}
-    maxima: set = set()
-    for value in sorted(set(values.values()), key=int.bit_count,
-                        reverse=True):
-        if not any(value | m == m for m in maxima):
-            maxima.add(value)
+    value = enc.value
+    values = {top: value(reduce(or_, top)) for top in product(*groups)}
+    maxima = _maximal(values.values())
     combos = [[classes[sig] for classes, sig in zip(per_agent, combo)]
-              for top, value in values.items() if value in maxima
+              for top, best in values.items() if best in maxima
               for combo in product(*(g[sig] for g, sig in zip(groups, top)))
-              if _combine(combo) == value]
+              if value(reduce(or_, combo)) == best]
     return MaximalPlays([a.id for a in env.agents], combos)
 
 

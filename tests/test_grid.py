@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from latticeplan import grid as grid_module
 from latticeplan.errors import LimitExceeded
 from latticeplan.games import enumerate_plays
 from latticeplan.grid import (
@@ -128,6 +129,27 @@ class TestGeometry:
         # endpoints never block
         assert line_of_sight(env, (2, 2), (4, 2))
         assert line_of_sight(env, (0, 2), (2, 2))
+
+    def test_line_of_sight_matches_bresenham(self):
+        """Every difference within the horizon bound, from the centre of
+        seeded random obstacle grids (the centre itself an obstacle in
+        half of them), and from random observers."""
+        side = 2 * HORIZON_BOUND + 1
+        centre = (HORIZON_BOUND, HORIZON_BOUND)
+        cells = [(c, r) for c in range(side) for r in range(side)]
+        for seed in range(6):
+            rng = random.Random(seed)
+            obstacles = {cell for cell in cells
+                         if rng.random() < rng.choice([0.1, 0.3])}
+            obstacles.discard(centre)
+            if seed % 2:
+                obstacles.add(centre)
+            env = make_env(side, side, obstacles)
+            for a in [centre] + rng.sample(cells, 4):
+                for b in cells:
+                    expected = not any(c in obstacles
+                                       for c in bresenham_line(a, b)[1:-1])
+                    assert line_of_sight(env, a, b) == expected, (seed, a, b)
 
 
 class TestReward:
@@ -265,6 +287,34 @@ class TestReachable:
         for _ in range(40):
             a, b = rng.choice(free), rng.choice(free)
             assert reachable(env, a, b) == reachable(env, b, a)
+
+    def test_one_flood_per_component(self, monkeypatch):
+        """Each free component is flooded at most once, whatever the start
+        and target, a flood stops at its target, and a `with_positions`
+        copy reuses the floods."""
+        walls = [(1, 0), (0, 1), (5, 6), (6, 5)]
+        env = make_env(obstacles=walls,
+                       agents=[AgentState("a", (3, 3), 1, "m")])
+        calls = []
+        moves = agent_moves
+
+        def spy(env, cell):
+            calls.append(cell)
+            return moves(env, cell)
+
+        monkeypatch.setattr(grid_module, "agent_moves", spy)
+        main = 49 - len(walls) - 2
+        assert reachable(env, (3, 3), (3, 4))
+        assert calls == [(3, 3)]
+        for start in [(3, 3), (2, 2), (4, 6)]:
+            for target in [(0, 0), (6, 6), (6, 0)]:
+                assert reachable(env, start, target) == (target == (6, 0))
+        assert len(calls) == main
+        moved = env.with_positions({"a": (2, 3)})
+        assert not reachable(moved, (2, 3), (0, 0))
+        assert reachable(moved, (0, 0), (0, 0))
+        assert not reachable(moved, (6, 6), (0, 0))
+        assert len(calls) == main + 1
 
     def test_invalid_cells(self):
         env = make_env(obstacles=[(1, 1)])

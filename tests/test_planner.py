@@ -285,6 +285,34 @@ class TestSelectIntentions:
             dropped += len(expected) < candidates
         assert tied and dropped, (tied, dropped)
 
+    def test_one_priority_per_fact_multiset(self, monkeypatch):
+        """Goals mapped in turn onto three facts: the priority is
+        evaluated once per multiset of the candidates' facts, and the
+        result is the pairwise definition's."""
+        spec = system_spec()
+        goals = [f"g{i:02}" for i in range(12)]
+        fact_no = {g: i % 3 for i, g in enumerate(goals)}
+        facts = [spec.fact_of(b) for b in ("b1", "b2", "b3")]
+        spec = build_goal_lattice_spec(spec.phase, {
+            **spec.goal_map, **{g: facts[fact_no[g]] for g in goals}})
+        candidates = [combo for size in (1, 2, 3)
+                      for combo in combinations(goals, size)]
+        priorities = [process_priority(spec, MOVEMENT, c) for c in candidates]
+        expected = [(c, p) for c, p in zip(candidates, priorities)
+                    if not any(p.members < q.members for q in priorities)]
+        evaluated = []
+
+        def spy(spec, movement_ids, goal_subset):
+            evaluated.append(tuple(sorted(fact_no[g] for g in goal_subset)))
+            return process_priority(spec, movement_ids, goal_subset)
+
+        monkeypatch.setattr(planner_module, "process_priority", spy)
+        out = select_intentions(spec, goals, movement_ids=MOVEMENT,
+                                max_size=3)
+        assert out == expected
+        assert len(candidates) == 298 and len(evaluated) == 3 + 6 + 10
+        assert len(set(evaluated)) == len(evaluated)
+
     def test_subset_score_values(self):
         spec = system_spec()
         assert subset_score(spec, ["b1"]) == Fraction(1, 2)
@@ -352,6 +380,69 @@ class TestPlayReward:
         env = self.env_one_agent()
         with pytest.raises(PlannerError):
             play_reward(env, {"a": ()}, [], eq1_mode="nope")
+
+    def test_matches_frozenset_reward(self):
+        """Seeded joint plays against the reward computed on frozensets,
+        in both modes: no goals, goals without features, and goals that
+        share feature names."""
+        def oracle(env, play, goal_ids, mode, scouted):
+            visits = [(a, c) for a in env.agents
+                      for c in (a.position,) + play[a.id]]
+            seen = frozenset().union(*(grid.observed_cells(env, c, a.horizon)
+                                       for a, c in visits))
+            value = {grid.scout_feature(c) for c in seen - scouted}
+            views = [[grid.reward(env, c, g, a.horizon) for g in goal_ids]
+                     for a, c in visits]
+            if not goal_ids:
+                return frozenset(value)
+            if mode == "per-goal":
+                return frozenset(value).union(frozenset.intersection(
+                    *(frozenset().union(*per_goal)
+                      for per_goal in zip(*views))))
+            return frozenset(value).union(
+                *(frozenset.intersection(*v) for v in views))
+
+        names = ["f", "g", "h", "k"]
+        seen_kinds = set()
+        for seed in range(40):
+            rng = random.Random(seed)
+            width, height = rng.randint(2, 5), rng.randint(2, 4)
+            cells = [(c, r) for c in range(width) for r in range(height)]
+            obstacles = [c for c in cells if rng.random() < 0.15]
+            free = [c for c in cells if c not in obstacles]
+            if not free:
+                obstacles, free = [], cells
+            agents = [AgentState(f"a{i}", cell, rng.randint(0, 3), "m")
+                      for i, cell in enumerate(
+                          rng.sample(free, min(len(free), rng.randint(1, 3))))]
+            goals = [GoalObject(f"g{i}", rng.choice(free), tuple(
+                (name, rng.randint(0, 3))
+                for name in rng.sample(names, rng.randint(0, 3))))
+                for i in range(rng.randint(0, 3))]
+            env = build_environment(width, height, obstacles, agents, goals)
+            steps = rng.randint(0, 3)
+            play = {}
+            for a in agents:
+                path = (a.position,)
+                for _ in range(steps):
+                    path += (rng.choice(grid.agent_moves(env, path[-1])),)
+                play[a.id] = path[1:]
+            scouted = frozenset(rng.sample(cells, rng.randint(0, len(cells))))
+            for k in range(len(goals) + 1):
+                goal_ids = [g.id for g in rng.sample(goals, k)]
+                for mode in EQ1_MODES:
+                    got = play_reward(env, play, goal_ids, eq1_mode=mode,
+                                      scouted=scouted)
+                    assert got == oracle(env, play, goal_ids, mode,
+                                         scouted), (seed, goal_ids, mode)
+                chosen = [env.goal(g) for g in goal_ids]
+                seen_kinds.add(len(goal_ids))
+                if any(not g.features for g in chosen):
+                    seen_kinds.add("featureless")
+                shared = [n for g in chosen for n in g.feature_names()]
+                if len(shared) > len(set(shared)):
+                    seen_kinds.add("shared")
+        assert {0, 1, 2, 3, "featureless", "shared"} <= seen_kinds
 
 
 class TestChoosePlay:
@@ -431,6 +522,22 @@ class TestChoosePlay:
         maximal = [dict(a=p[1:]) for p, v in scored
                    if not any(v < w for _, w in scored)]
         assert [dict(p) for p in got] == maximal
+
+
+class TestMaximal:
+    def test_matches_the_pairwise_definition(self):
+        """Seeded int sets with duplicates and 0, against the values that
+        no other value covers, compared pairwise."""
+        for seed in range(300):
+            rng = random.Random(seed)
+            bits = rng.randint(1, 12)
+            values = [rng.getrandbits(bits) for _ in range(rng.randint(0, 60))]
+            values += rng.sample(values, len(values) // 3) + [0] * (seed % 3)
+            expected = {v for v in values
+                        if not any(v != w and v | w == w for w in values)}
+            assert planner_module._maximal(values) == expected, seed
+        assert planner_module._maximal([0, 0]) == {0}
+        assert planner_module._maximal([]) == set()
 
 
 def brute_force_plays(env, goal_ids, depth, eq1_mode):
@@ -769,6 +876,33 @@ class TestPlanOnce:
         values = {play_reward(env, play, plan.chosen_goals)
                   for play in plan.alternates}
         assert not any(a < b for a in values for b in values)
+
+
+    def test_walled_off_goals_cost_one_flood_per_component(self,
+                                                          monkeypatch):
+        """b1 and b2 are walled into corners: one flood of the agents'
+        component answers every (goal, agent) pair, and the next cycle's
+        environment floods nothing."""
+        env = walkthrough_env()
+        walls = [(0, 2), (1, 2), (0, 4), (1, 5), (0, 6), (3, 1), (5, 1),
+                 (4, 0), (4, 2)]
+        env = build_environment(7, 7, walls, env.agents, [
+            GoalObject("b1", (0, 5), env.goal("b1").features),
+            GoalObject("b2", (4, 1), env.goal("b2").features)])
+        calls = []
+        moves = grid.agent_moves
+
+        def spy(env, cell):
+            calls.append(cell)
+            return moves(env, cell)
+
+        monkeypatch.setattr(grid, "agent_moves", spy)
+        for step in range(2):
+            plan = plan_once(env, system_spec(), walkthrough_desires(),
+                             discovered=["b1", "b2"], depth=0)
+            assert plan.chosen_goals == ()
+            assert len(calls) == 7 * 7 - len(walls) - 2
+            env = env.with_positions({"agent-1": (2, 3)})
 
 
 DEPTH_FOUR_PLAY = {
