@@ -97,8 +97,18 @@ def test_not_a_lattice():
 
 def test_foreign_element():
     lat = diamond()
-    with pytest.raises(ForeignElement):
-        lat.join("x", "nope")
+
+    def raises_foreign(op, *args):
+        with pytest.raises(ForeignElement) as info:
+            op(*args)
+        assert str(info.value) == "element 'nope' is not in this lattice"
+
+    for op in (lat.leq, lat.join, lat.meet):
+        for args in (("x", "nope"), ("nope", "x"), ("nope", "nope")):
+            raises_foreign(op, *args)
+    for gens in (["nope"], ["x", "nope"], ["x", "y", "nope"]):
+        raises_foreign(generators_closure, lat, gens)
+    assert "nope" not in lat and "x" in lat
 
 
 def test_join_with_bottom_is_identity():
@@ -131,6 +141,33 @@ def test_declared_generators_are_checked():
             covers=True,
             generators=["0", "1"],
         )
+
+
+def test_lattices_at_the_element_bound():
+    """Masks as wide as LATTICE_ELEMENT_BOUND, against index order on a
+    chain and set inclusion on a powerset, on seeded pairs."""
+    assert LATTICE_ELEMENT_BOUND == 512 == 2 ** 9
+    ids = [f"c{i}" for i in range(LATTICE_ELEMENT_BOUND)]
+    chain = chain_lattice(ids)
+    assert (chain.top, chain.bottom) == (ids[-1], ids[0])
+    rng = random.Random(0)
+    for _ in range(200):
+        i, j = rng.randrange(len(ids)), rng.randrange(len(ids))
+        assert chain.join(ids[i], ids[j]) == ids[max(i, j)]
+        assert chain.meet(ids[i], ids[j]) == ids[min(i, j)]
+        assert chain.leq(ids[i], ids[j]) is (i <= j)
+
+    atoms = [f"a{i}" for i in range(9)]
+    power = powerset_lattice(atoms)
+    assert len(power.elements) == LATTICE_ELEMENT_BOUND
+    assert power.generators == tuple(subset_id([a]) for a in atoms)
+    assert (power.top, power.bottom) == (subset_id(atoms), "{}")
+    for _ in range(200):
+        s = {a for a in atoms if rng.random() < 0.5}
+        t = {a for a in atoms if rng.random() < 0.5}
+        assert power.join(subset_id(s), subset_id(t)) == subset_id(s | t)
+        assert power.meet(subset_id(s), subset_id(t)) == subset_id(s & t)
+        assert power.leq(subset_id(s), subset_id(t)) is (s <= t)
 
 
 def test_algebraic_laws_exhaustively():
@@ -256,9 +293,10 @@ def built_lattice(elements, pairs, covers):
         lat = verify_poset(elements, pairs, covers=covers)
     except LatticeError as exc:
         return type(exc), str(exc)
+    pairs = [(a, b) for a in lat.elements for b in lat.elements]
     return {
-        "join_table": lat.join_table,
-        "meet_table": lat.meet_table,
+        "join_table": {(a, b): lat.join(a, b) for (a, b) in pairs},
+        "meet_table": {(a, b): lat.meet(a, b) for (a, b) in pairs},
         "top": lat.top,
         "bottom": lat.bottom,
         "order": order_pairs(lat),
