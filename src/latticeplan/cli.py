@@ -16,7 +16,7 @@ from .errors import LatticePlanError, LimitExceeded
 from .games import game_to_dot
 from .lattice import subset_id
 from .phase import enumerate_facts  # noqa: F401  perfbench traces this name
-from .planner import plan_once, simulate, vertex_weight
+from .planner import EQ1_MODES, plan_once, simulate, vertex_weight
 from .scenario import (
     ParseError,
     RawScenario,
@@ -172,8 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="override planner depth")
             p.add_argument("--max-steps", type=int, default=None,
                            help="override simulation step limit")
-            p.add_argument("--eq1-mode", default=None,
-                           choices=["per-goal", "positionwise"],
+            p.add_argument("--eq1-mode", default=None, choices=EQ1_MODES,
                            help="override reward mode")
         if target:
             p.add_argument("target",

@@ -106,12 +106,16 @@ class ConwayGame:
 def build_game(vertices: Iterable[Vertex], root: Vertex,
                edges: Iterable[Edge], payoff: Mapping | None = None,
                payoff_lattice: object | None = None) -> ConwayGame:
-    """Validate the graph and precompute per-vertex move tables."""
-    vset = frozenset(vertices)
-    eset = frozenset(tuple(e) for e in edges)
+    """Validate the graph and precompute per-vertex move tables.
+
+    A bad edge, missing payoff or payoff outside the lattice is reported
+    for the first offender in the order given.
+    """
+    vertices, edges = list(vertices), [tuple(e) for e in edges]
+    vset, eset = frozenset(vertices), frozenset(edges)
     if root not in vset:
         raise InvalidGame(f"root {root!r} is not a vertex")
-    for e in eset:
+    for e in edges:
         if len(e) != 3:
             raise InvalidGame(f"edge {e!r} is not (from, to, polarity)")
         u, v, pol = e
@@ -143,7 +147,7 @@ def build_game(vertices: Iterable[Vertex], root: Vertex,
         if payoff_lattice is None:
             raise NoPayoff("payoff values given without a payoff lattice")
         pay = dict(payoff)
-        for v in vset:
+        for v in vertices:
             if v not in pay:
                 raise InvalidGame(f"payoff missing for vertex {v!r}")
             if pay[v] not in payoff_lattice:

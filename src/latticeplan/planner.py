@@ -541,43 +541,42 @@ def assign_agents(env: GridEnvironment, goals: Sequence[str],
     A goal goes to the agent whose reward strictly dominates all other
     unassigned agents'; failing that, to the maximal-reward candidate with
     the largest desire weight for the goal; residual ties take the earliest
-    agent. Each agent serves at most one goal.
+    agent. Each agent serves at most one goal. Rewards are finite sets
+    under strict inclusion, so an agent dominates all the others exactly
+    when it is the only maximal one: each other agent lies below some
+    maximal agent, and an agent with equal reward would be maximal too.
     """
     order = [a.id for a in env.agents]
     unassigned = list(order)
     assignment: dict = {}
+
+    def maximal(goal_id: str) -> list:
+        rewards = [per_agent_rewards[aid][goal_id] for aid in unassigned]
+        return [aid for aid, r in zip(unassigned, rewards)
+                if not any(r < other for other in rewards)]
+
     remaining = []
     for goal_id in goals:
         if not unassigned:
             break
-        rewards = {aid: per_agent_rewards[aid][goal_id] for aid in unassigned}
-        dominator = None
-        for aid in unassigned:
-            if all(rewards[b] < rewards[aid] for b in unassigned if b != aid):
-                dominator = aid
-                break
-        if dominator is not None:
-            assignment[goal_id] = dominator
-            unassigned.remove(dominator)
+        candidates = maximal(goal_id)
+        if len(candidates) == 1:
+            assignment[goal_id] = candidates[0]
+            unassigned.remove(candidates[0])
         else:
             remaining.append(goal_id)
     for goal_id in remaining:
         if not unassigned:
             break
-        rewards = {aid: per_agent_rewards[aid][goal_id] for aid in unassigned}
-        candidates = [aid for aid in unassigned
-                      if not any(rewards[aid] < rewards[b]
-                                 for b in unassigned)]
         weighted = []
-        for aid in candidates:
+        for aid in maximal(goal_id):
             dl = desire_lattices[aid]
             if goal_id not in dl.lattice:
                 raise MissingDesireVertex(
                     f"agent {aid} has no desire vertex for goal {goal_id!r}")
             weighted.append((vertex_weight(dl, goal_id), aid))
         best = max(w for w, _ in weighted)
-        tied = [aid for w, aid in weighted if w == best]
-        pick = min(tied, key=order.index)
+        pick = min((aid for w, aid in weighted if w == best), key=order.index)
         assignment[goal_id] = pick
         unassigned.remove(pick)
     return assignment
@@ -615,16 +614,11 @@ def plan_once(env: GridEnvironment, spec: GoalLatticeSpec,
     ranked = select_intentions(spec, discovered, filter_reachable,
                                movement_ids=movement_ids, max_size=cap)
     tie_break = len(ranked) > 1
-    if not ranked:
-        chosen: tuple = ()
-        priority = process_priority(spec, movement_ids, ())
-    elif tie_break:
-        scored = sorted(
-            ranked, key=lambda cp: (-subset_score(spec, cp[0]),
-                                    len(cp[0]), cp[0]))
-        chosen, priority = scored[0]
+    if ranked:
+        chosen, priority = min(ranked, key=lambda cp: (
+            -subset_score(spec, cp[0]), len(cp[0]), cp[0]))
     else:
-        chosen, priority = ranked[0]
+        chosen, priority = (), process_priority(spec, movement_ids, ())
 
     rewards = {a.id: {g: grid.reward(env, a.position, g, a.horizon)
                       for g in chosen}
@@ -690,7 +684,10 @@ def simulate(env: GridEnvironment, spec: GoalLatticeSpec,
     """Receding-horizon loop: perceive, plan, commit one joint move.
 
     Discovery is shared and persistent; a goal is achieved when an agent
-    stands on its cell, after which it leaves the discovered pool. The run
+    stands on its cell, after which it leaves the discovered pool. An
+    agent on a goal's cell sees every feature of it, so one sweep over
+    each agent's visible goals finds discovery, achievement and the
+    goals' part of the cumulative reward. The run
     ends when every goal is achieved, when no progress (discovery,
     achievement, or newly scouted cell) occurs for `patience` consecutive
     steps, or at max_steps.
@@ -711,26 +708,21 @@ def simulate(env: GridEnvironment, spec: GoalLatticeSpec,
         progress = False
         for a in current.agents:
             for goal_id, value in grid.visible_goals(current, a):
-                if goal_id not in discovered and goal_id not in achieved:
-                    discovered.add(goal_id)
-                    progress = True
-        for a in current.agents:
-            for goal_id in sorted(discovered):
+                cumulative |= value
+                if goal_id in achieved:
+                    continue
                 if current.goal(goal_id).position == a.position:
                     discovered.discard(goal_id)
                     achieved.add(goal_id)
                     progress = True
-        seen_now = frozenset()
-        for a in current.agents:
-            seen_now |= grid.observed_cells(current, a.position, a.horizon)
+                elif goal_id not in discovered:
+                    discovered.add(goal_id)
+                    progress = True
+        seen_now = _seen_at_start(current)
         if seen_now - scouted:
             progress = True
             cumulative |= {scout_feature(c) for c in seen_now - scouted}
             scouted |= seen_now
-        for a in current.agents:
-            for goal_id in sorted(discovered | achieved):
-                cumulative |= grid.reward(current, a.position, goal_id,
-                                          a.horizon)
 
         stale = 0 if progress else stale + 1
         if env.goals and len(achieved) == len(env.goals):

@@ -172,6 +172,32 @@ class TestValidateCommand:
                 "planner-config: PASS",
             ]
 
+    def test_op_cl_witness_does_not_depend_on_hash_seed(self, tmp_path):
+        def four_open_facts(doc):
+            doc["phase"]["op"] = [[], ["e"], ["u"], ["v"]]
+            doc["phase"]["cl"] = [["e", "u", "v", "w"], ["u", "v"],
+                                  ["e", "u"], ["e", "v"]]
+
+        path = write_mutated(tmp_path, four_open_facts)
+        for seed in ("1", "2", "3"):
+            run = subprocess.run(
+                [sys.executable, "-m", "latticeplan.cli", "validate",
+                 "--scenario", path],
+                capture_output=True, text=True,
+                env=child_env(PYTHONHASHSEED=seed), timeout=120)
+            assert run.returncode == 1 and run.stderr == ""
+            assert run.stdout.splitlines() == [
+                "phase-monoid: PASS",
+                "op-cl-classes: FAIL (open class: {e} + {u} = {e,u} escapes)",
+                "system-lattice: PASS",
+                "desire-lattice agent-1: PASS",
+                "desire-lattice agent-2: PASS",
+                "desire-lattice agent-3: PASS",
+                "environment: PASS",
+                "cross-references: PASS",
+                "planner-config: PASS",
+            ]
+
     def test_non_utf8_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "latin1.yaml"
         path.write_bytes("phase: {unit: \u00e9}\n".encode("latin-1"))

@@ -1,6 +1,10 @@
 """Game graphs, plays, strategies, duals, and tensor products."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +106,42 @@ class TestBuildGame:
     def test_payoff_value_outside_lattice(self):
         with pytest.raises(InvalidGame):
             build_game(["a"], "a", [], payoff={"a": "2"}, payoff_lattice=BOOL)
+
+    def test_first_offender_in_the_order_given(self):
+        # each call has two offenders; a walk over a set names the one or
+        # the other, depending on the hash seed (1 and 3 differ on 3.11)
+        script = (
+            "from latticeplan.games import build_game\n"
+            "from latticeplan.lattice import chain_lattice\n"
+            "bool_lattice = chain_lattice(['0', '1'])\n"
+            "edges = [('a', 'b', 1), ('b', 'c', -1)]\n"
+            "for args, kw in [\n"
+            "    ((['a', 'b', 'c'], 'a',\n"
+            "      [('a', 'b', 1), ('b', 'c', 5), ('a', 'y', -1)]), {}),\n"
+            "    ((['a', 'b', 'c'], 'a', edges), {'payoff': {'a': '1'}}),\n"
+            "    ((['a', 'b', 'c'], 'a', edges),\n"
+            "     {'payoff': {'a': '1', 'b': '2', 'c': '3'}}),\n"
+            "]:\n"
+            "    try:\n"
+            "        build_game(*args, **kw, payoff_lattice=bool_lattice)\n"
+            "    except Exception as exc:\n"
+            "        print(type(exc).__name__, exc)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        pythonpath = os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]]
+                     if os.environ.get("PYTHONPATH") else []))
+        for seed in ("1", "3"):
+            run = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True,
+                text=True, timeout=120,
+                env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath,
+                     "PYTHONHASHSEED": seed})
+            assert run.stderr == ""
+            assert run.stdout.splitlines() == [
+                "InvalidGame edge ('b', 'c', 5) has polarity outside {+1, -1}",
+                "InvalidGame payoff missing for vertex 'b'",
+                "InvalidGame payoff of 'b' outside the payoff lattice",
+            ]
 
 
 class TestPlays:

@@ -346,6 +346,13 @@ class TestConnectives:
                 assert plus_additive(x, y).members == \
                     closure(space.subset(x.members | y.members)).members
 
+    @pytest.mark.parametrize("space", CORPUS)
+    def test_with_of_facts_is_a_fact(self, space):
+        facts = enumerate_facts(space)
+        for x in facts:
+            for y in facts:
+                assert is_fact(with_additive(x, y))
+
     def test_connectives_reject_non_facts(self):
         space = mod2mul(("0",))
         non_fact = space.subset(["1"])
@@ -440,3 +447,106 @@ class TestOpClClasses:
         space = mod2mul(("0",))
         with pytest.raises(NotAFact):
             validate_op_cl(space, [space.subset(["1"])], [space.one])
+
+
+def two_class_op_cl(space, open_facts, closed_facts):
+    """Both classes checked pair by pair: the open class under tensor and
+    plus, the closed class under with and par, each between its extremes.
+    Returns the classes, or raises the first failing check's error."""
+    opens, closeds = frozenset(open_facts), frozenset(closed_facts)
+    for f in opens | closeds:
+        if not is_fact(f):
+            raise NotAFact(f.display())
+    if frozenset(dual(f) for f in opens) != closeds:
+        raise NotDualClasses()
+    for cls, ops in ((opens, (tensor, plus_additive)),
+                     (closeds, (with_additive, par))):
+        for a in cls:
+            for b in cls:
+                if any(op(a, b) not in cls for op in ops):
+                    raise NotClosedUnderOps()
+    for cls, big, small in ((opens, space.i_fact, space.zero),
+                            (closeds, space.one, space.false_fact)):
+        if big not in cls or small not in cls:
+            raise WrongExtremes()
+        if not all(small <= f <= big for f in cls):
+            raise WrongExtremes()
+    return opens, closeds
+
+
+def random_op_cl_case(rng):
+    """A space, an open class drawn from its facts and a closed class that
+    is its dual image, sometimes perturbed."""
+    space = random_product_monoid(rng, rng.randint(1, 6))
+    facts = enumerate_facts(space)
+    if rng.random() < 0.4:
+        opens = [f for f in facts if space.zero <= f <= space.i_fact]
+    else:
+        opens = rng.sample(facts, rng.randint(0, len(facts)))
+    if rng.random() < 0.5:
+        opens += [space.zero, space.i_fact]
+    opens += rng.sample(opens, min(len(opens), rng.randint(0, 1)))
+    rng.shuffle(opens)
+    closeds = [dual(f) for f in opens]
+    if closeds and rng.random() < 0.15:
+        closeds.remove(rng.choice(closeds))
+    if rng.random() < 0.15:
+        closeds.append(rng.choice(facts))
+    rng.shuffle(closeds)
+    return space, opens, closeds
+
+
+class TestOpClOracle:
+    def test_matches_two_class_definition(self):
+        rng = random.Random(11)
+        outcomes = {}
+        for _ in range(2000):
+            space, opens, closeds = random_op_cl_case(rng)
+            try:
+                expected = two_class_op_cl(space, opens, closeds)
+            except PhaseError as exc:
+                expected = type(exc)
+            try:
+                part = validate_op_cl(space, opens, closeds)
+                got = part.open_facts, part.closed_facts
+            except PhaseError as exc:
+                got = type(exc)
+            assert got == expected, (space, opens, closeds)
+            key = expected if isinstance(expected, type) else "valid"
+            outcomes[key] = outcomes.get(key, 0) + 1
+        assert set(outcomes) == {"valid", NotDualClasses, NotClosedUnderOps,
+                                 WrongExtremes}, outcomes
+
+    def test_first_escape_in_the_order_given(self):
+        space = union2()
+        zero, e, u, v = (space.subset(m) for m in ([], ["e"], ["u"], ["v"]))
+        for opens, witness in (
+                ([zero, e, u, v], "{e} + {u} = {e,u}"),
+                ([zero, e, v, u], "{e} + {v} = {e,v}"),
+                ([v, zero, u, e], "{v} (x) {u} = {e,u,v,w}"),
+                ([u, u, v, e, zero], "{u} (x) {v} = {e,u,v,w}")):
+            with pytest.raises(NotClosedUnderOps) as info:
+                validate_op_cl(space, opens, [dual(f) for f in opens])
+            assert str(info.value) == f"open class: {witness} escapes"
+
+    def test_first_extreme_witness_in_the_order_given(self):
+        space = union2()
+        facts = enumerate_facts(space)
+        for opens, message in (
+                (facts, "open class member {u} outside its extremes"),
+                (facts[::-1],
+                 "open class member {e,u,v,w} outside its extremes"),
+                ([space.i_fact], "open class must contain {e} and {}")):
+            with pytest.raises(WrongExtremes) as info:
+                validate_op_cl(space, opens, [dual(f) for f in opens])
+            assert str(info.value) == message
+
+    def test_first_non_fact_in_the_order_given(self):
+        space = union2()
+        w, ew = space.subset(["w"]), space.subset(["e", "w"])
+        for opens, closeds, name in (([w, ew], [], "{w}"),
+                                     ([ew, w], [], "{e,w}"),
+                                     ([space.zero], [ew, w], "{e,w}")):
+            with pytest.raises(NotAFact) as info:
+                validate_op_cl(space, opens, closeds)
+            assert str(info.value) == f"{name} is not a fact"

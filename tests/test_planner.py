@@ -852,6 +852,78 @@ class TestAssignAgents:
             assert len(set(got.values())) == 3
 
 
+def three_stage_assignment(agent_ids, goals, rewards, desire_lattices):
+    """The assignment rule, stage by stage: a goal goes to an agent whose
+    reward strictly dominates every other unassigned agent's; the goals
+    left go to the maximal agent of largest desire weight, then the
+    earliest."""
+    unassigned = list(agent_ids)
+    assignment = {}
+    remaining = []
+    for goal in goals:
+        if not unassigned:
+            break
+        dominators = [a for a in unassigned
+                      if all(rewards[b][goal] < rewards[a][goal]
+                             for b in unassigned if b != a)]
+        if dominators:
+            assignment[goal] = dominators[0]
+            unassigned.remove(dominators[0])
+        else:
+            remaining.append(goal)
+    for goal in remaining:
+        if not unassigned:
+            break
+        maximal = [a for a in unassigned
+                   if not any(rewards[a][goal] < rewards[b][goal]
+                              for b in unassigned)]
+        weights = {}
+        for a in maximal:
+            if goal not in desire_lattices[a].lattice:
+                raise MissingDesireVertex(goal)
+            weights[a] = vertex_weight(desire_lattices[a], goal)
+        best = max(weights.values())
+        pick = next(a for a in agent_ids if weights.get(a) == best)
+        assignment[goal] = pick
+        unassigned.remove(pick)
+    return assignment
+
+
+class TestAssignAgentsOracle:
+    def test_matches_three_stage_definition(self):
+        rng = random.Random(31)
+        small = build_desire_lattice(
+            verify_poset(["0", "b1"], [("0", "b1")], covers=True), ["b1"],
+            "b1")
+        lattices = [desire_lattice(["b1", "b2"], "U12"),
+                    desire_lattice(["b1", "b2", "b3"], "U123"),
+                    desire_lattice(["b3"], "b3"), small]
+        views = [frozenset(c) for n in range(4)
+                 for c in combinations("pqr", n)]
+        outcomes = {"assigned": 0, "missing vertex": 0}
+        for _ in range(3000):
+            n = rng.randint(1, 3)
+            agents = [AgentState(f"agent-{i}", (i, 0), 1, "a1")
+                      for i in rng.sample(range(1, 4), n)]
+            env = build_environment(4, 1, [], agents, [])
+            ids = [a.id for a in agents]
+            goals = rng.sample(["b1", "b2", "b3"], rng.randint(1, 3))
+            pool = rng.sample(views, rng.randint(1, 4))
+            rewards = {a: {g: rng.choice(pool) for g in goals} for a in ids}
+            desires = {a: rng.choice(lattices) for a in ids}
+            try:
+                expected = three_stage_assignment(ids, goals, rewards,
+                                                  desires)
+            except MissingDesireVertex:
+                outcomes["missing vertex"] += 1
+                with pytest.raises(MissingDesireVertex):
+                    assign_agents(env, goals, rewards, desires)
+                continue
+            outcomes["assigned"] += 1
+            assert assign_agents(env, goals, rewards, desires) == expected
+        assert min(outcomes.values()) > 100, outcomes
+
+
 class TestPlanOnce:
     def test_bundled_decision_step(self):
         env = walkthrough_env()
@@ -866,6 +938,21 @@ class TestPlanOnce:
         assert set(plan.plays) == {"agent-1", "agent-2", "agent-3"}
         assert all(len(p) == 2 for p in plan.plays.values())
         assert plan.alternates[0] == plan.plays
+
+    def test_tie_break_prefers_score_then_size_then_order(self):
+        # subset scores: b1 and b2 1/2, b3 1/4, {b1,b2} 1, {b1,b3} and
+        # {b2,b3} 3/4, {b1,b2,b3} 5/4; maxima are listed smallest first,
+        # so the first case's pick is the last one listed
+        env = walkthrough_env()
+        for discovered, cap, chosen in (
+                (["b1", "b2", "b3"], 3, ("b1", "b2", "b3")),
+                (["b1", "b2", "b3"], 2, ("b1", "b2")),
+                (["b3", "b2"], 1, ("b2",)),
+                (["b2", "b1"], 1, ("b1",))):
+            plan = plan_once(env, system_spec(), walkthrough_desires(),
+                             discovered=discovered, depth=0, subset_cap=cap)
+            assert plan.tie_break
+            assert plan.chosen_goals == chosen
 
     def test_walkthrough_depth_three(self):
         env = walkthrough_env()
@@ -1012,6 +1099,32 @@ class TestSimulate:
         assert first.chosen == ("b1", "b2")
         assert first.priority_name == "1"
         assert first.assignment == (("b1", "agent-1"), ("b2", "agent-2"))
+
+    def test_perception_from_positions(self):
+        """Each step's discovered, achieved and cumulative reward sets,
+        read off the positions so far: a goal is achieved once an agent
+        has stood on its cell, discovered once seen and not achieved, and
+        the reward is every goal feature seen plus every scouted cell."""
+        env = walkthrough_env()
+        trace = simulate(env, system_spec(), walkthrough_desires(),
+                         depth=2, max_steps=40, subset_cap=2, patience=6)
+        seen, stood, reward = set(), set(), set()
+        for step in trace.steps:
+            for aid, cell in step.positions:
+                horizon = env.agent(aid).horizon
+                for g in env.goals:
+                    view = grid.reward(env, cell, g, horizon)
+                    if view:
+                        seen.add(g.id)
+                    if g.position == cell:
+                        stood.add(g.id)
+                    reward |= view
+                reward |= {grid.scout_feature(c) for c in
+                           grid.observed_cells(env, cell, horizon)}
+            assert step.achieved == tuple(sorted(stood))
+            assert step.discovered == tuple(sorted(seen - stood))
+            assert step.cumulative_reward == tuple(sorted(reward))
+        assert stood and seen - stood and reward
 
     def test_bundled_full_run_achieves_everything(self):
         trace = simulate(walkthrough_env(), system_spec(), walkthrough_desires(),
