@@ -67,10 +67,6 @@ class DepthTooLarge(PlannerError, LimitExceeded):
     pass
 
 
-class NoLegalPlay(PlannerError):
-    pass
-
-
 class MissingDesireVertex(PlannerError):
     pass
 
@@ -476,8 +472,6 @@ def choose_play(env: GridEnvironment, spec: GoalLatticeSpec,
     per_agent = []
     for i, a in enumerate(env.agents):
         paths = grid.agent_paths(env, a.position, depth)[-1]
-        if not paths:
-            raise NoLegalPlay(f"agent {a.id} has no legal path")
         by_visited: dict = {}
         classes: dict = {}
         for cells, idxs in paths:

@@ -16,7 +16,7 @@ outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import yaml
 
@@ -31,7 +31,6 @@ from .lattice import verify_poset
 from .phase import OpClPartition, PhaseSpace, validate_monoid, validate_op_cl
 from .planner import (
     EQ1_MODES,
-    DesireLattice,
     GoalLatticeSpec,
     PlannerError,
     build_desire_lattice,
@@ -69,12 +68,6 @@ def _type_name(value: Any) -> str:
     return type(value).__name__
 
 
-def _get(section: Mapping, key: str, where: str) -> Any:
-    if key not in section:
-        raise ParseError(f"{where}: missing required field {key!r}")
-    return section[key]
-
-
 def _as_map(value: Any, where: str) -> Mapping:
     if not isinstance(value, dict):
         raise ParseError(f"{where}: expected a mapping, got {_type_name(value)}")
@@ -100,16 +93,121 @@ def _as_int(value: Any, where: str) -> int:
     return value
 
 
-def _str_list(value: Any, where: str) -> list:
-    return [_as_str(v, f"{where}[{i}]")
-            for i, v in enumerate(_as_list(value, where))]
-
-
 def _cell(value: Any, where: str) -> tuple:
     pair = _as_list(value, where)
     if len(pair) != 2:
         raise ParseError(f"{where}: expected [col, row], got {len(pair)} items")
     return (_as_int(pair[0], f"{where}[0]"), _as_int(pair[1], f"{where}[1]"))
+
+
+# Each reader takes (value, where) and names `where` in its ParseError: a
+# field is at `where.key` (`key` in the document), a list item at `where[i]`
+# and a mapping key at `where key`. Fields are read in the order written.
+def _field(section: Mapping, where: str, key: str, read: Callable,
+           default: Any = ...) -> Any:
+    """Read section[key] at its path. An absent field gives the default;
+    without one (`...`) it is a missing required field."""
+    if key not in section:
+        if default is ...:
+            raise ParseError(f"{where}: missing required field {key!r}")
+        return default
+    return read(section[key], key if where == "document" else f"{where}.{key}")
+
+
+def _list_of(read: Callable, to: type = list) -> Callable:
+    def read_list(value: Any, where: str) -> Any:
+        return to(read(item, f"{where}[{i}]")
+                  for i, item in enumerate(_as_list(value, where)))
+    return read_list
+
+
+def _map_of(read: Callable) -> Callable:
+    def read_map(value: Any, where: str) -> dict:
+        return {_as_str(k, f"{where} key"): read(v, f"{where}.{k}")
+                for k, v in _as_map(value, where).items()}
+    return read_map
+
+
+_str_list = _list_of(_as_str)
+_str_tuple = _list_of(_as_str, tuple)
+
+
+def _system_names(body: Any, where: str) -> dict:
+    """members -> name; a repeated members set fails before later entries."""
+    names: dict = {}
+
+    def entry(body: Any, where: str) -> None:
+        body = _as_map(body, where)
+        members = frozenset(_field(body, where, "members", _str_list))
+        name = _field(body, where, "name", _as_str)
+        if members in names:
+            raise ParseError(f"{where}: duplicate members entry")
+        names[members] = name
+
+    _field(_as_map(body, where), where, "names", _list_of(entry), None)
+    return names
+
+
+def _pair(value: Any, where: str) -> tuple:
+    pair = _str_list(value, where)
+    if len(pair) != 2:
+        raise ParseError(f"{where}: expected [low, high]")
+    return (pair[0], pair[1])
+
+
+def _agent_lattice(body: Any, where: str) -> dict:
+    body = _as_map(body, where)
+    elements = _field(body, where, "elements", _str_list)
+    has_covers = "covers" in body
+    if has_covers == ("order" in body):
+        raise ParseError(
+            f"{where}: exactly one of 'covers' or 'order' is required")
+    return {
+        "elements": elements,
+        "pairs": _field(body, where, "covers" if has_covers else "order",
+                        _list_of(_pair)),
+        "covers": has_covers,
+        "generators": _field(body, where, "generators", _str_list, None),
+        "desires": _field(body, where, "desires", _str_list),
+        "intention": _field(body, where, "intention", _as_str)}
+
+
+def _agent(body: Any, where: str) -> AgentState:
+    body = _as_map(body, where)
+    return AgentState(
+        id=_field(body, where, "id", _as_str),
+        position=_field(body, where, "position", _cell),
+        horizon=_field(body, where, "horizon", _as_int),
+        movement_goal_id=_field(body, where, "movement_goal", _as_str))
+
+
+def _feature(body: Any, where: str) -> tuple:
+    body = _as_map(body, where)
+    return (_field(body, where, "name", _as_str),
+            _field(body, where, "range", _as_int))
+
+
+def _goal(body: Any, where: str) -> GoalObject:
+    body = _as_map(body, where)
+    return GoalObject(
+        features=_field(body, where, "features", _list_of(_feature, tuple)),
+        id=_field(body, where, "id", _as_str),
+        position=_field(body, where, "position", _cell))
+
+
+def _optional_int(value: Any, where: str) -> int | None:
+    return None if value is None else _as_int(value, where)
+
+
+def _planner(body: Any, where: str) -> PlannerConfig:
+    body = _as_map(body, where)
+    default = PlannerConfig()
+    return PlannerConfig(
+        subset_cap=_field(body, where, "subset_cap", _optional_int, None),
+        depth=_field(body, where, "depth", _as_int, default.depth),
+        eq1_mode=_field(body, where, "eq1_mode", _as_str, default.eq1_mode),
+        patience=_field(body, where, "patience", _as_int, default.patience),
+        max_steps=_field(body, where, "max_steps", _as_int, default.max_steps))
 
 
 @dataclass(eq=False)
@@ -156,172 +254,36 @@ def parse_scenario(path: str) -> RawScenario:
         raise ParseError("scenario nests too deeply to parse") from exc
     doc = _as_map(doc, "document")
 
-    phase = _as_map(_get(doc, "phase", "document"), "phase")
-    carrier = tuple(_str_list(_get(phase, "carrier", "phase"), "phase.carrier"))
-    unit = _as_str(_get(phase, "unit", "phase"), "phase.unit")
-    product_raw = _as_map(_get(phase, "product", "phase"), "phase.product")
-    product = {}
-    for x, row in product_raw.items():
-        x = _as_str(x, "phase.product key")
-        row = _as_map(row, f"phase.product.{x}")
-        for y, xy in row.items():
-            y = _as_str(y, f"phase.product.{x} key")
-            product[(x, y)] = _as_str(xy, f"phase.product.{x}.{y}")
-    false_members = tuple(_str_list(_get(phase, "false_set", "phase"),
-                                    "phase.false_set"))
-    op_members = tuple(tuple(_str_list(m, f"phase.op[{i}]"))
-                       for i, m in enumerate(
-                           _as_list(_get(phase, "op", "phase"), "phase.op")))
-    cl_members = tuple(tuple(_str_list(m, f"phase.cl[{i}]"))
-                       for i, m in enumerate(
-                           _as_list(_get(phase, "cl", "phase"), "phase.cl")))
-    goal_map_raw = _as_map(_get(phase, "goal_map", "phase"), "phase.goal_map")
-    goal_map_members = {
-        _as_str(k, "phase.goal_map key"): tuple(
-            _str_list(v, f"phase.goal_map.{k}"))
-        for k, v in goal_map_raw.items()}
+    phase = _field(doc, "document", "phase", _as_map)
+    carrier = _field(phase, "phase", "carrier", _str_tuple)
+    unit = _field(phase, "phase", "unit", _as_str)
+    rows = _field(phase, "phase", "product", _map_of(_map_of(_as_str)))
+    false_members = _field(phase, "phase", "false_set", _str_tuple)
+    op_members = _field(phase, "phase", "op", _list_of(_str_tuple, tuple))
+    cl_members = _field(phase, "phase", "cl", _list_of(_str_tuple, tuple))
+    goal_map_members = _field(phase, "phase", "goal_map", _map_of(_str_tuple))
 
-    lattices = _as_map(_get(doc, "lattices", "document"), "lattices")
-    system = _as_map(lattices.get("system", {}), "lattices.system")
-    system_names = {}
-    for i, entry in enumerate(_as_list(system.get("names", []),
-                                       "lattices.system.names")):
-        entry = _as_map(entry, f"lattices.system.names[{i}]")
-        members = frozenset(_str_list(
-            _get(entry, "members", f"lattices.system.names[{i}]"),
-            f"lattices.system.names[{i}].members"))
-        name = _as_str(_get(entry, "name", f"lattices.system.names[{i}]"),
-                       f"lattices.system.names[{i}].name")
-        if members in system_names:
-            raise ParseError(
-                f"lattices.system.names[{i}]: duplicate members entry")
-        system_names[members] = name
+    lattices = _field(doc, "document", "lattices", _as_map)
+    system_names = _field(lattices, "lattices", "system", _system_names, {})
+    agent_lattices = _field(lattices, "lattices", "agents",
+                            _map_of(_agent_lattice))
 
-    agents_raw = _as_map(_get(lattices, "agents", "lattices"),
-                         "lattices.agents")
-    agent_lattices = {}
-    for agent_id, body in agents_raw.items():
-        agent_id = _as_str(agent_id, "lattices.agents key")
-        where = f"lattices.agents.{agent_id}"
-        body = _as_map(body, where)
-        elements = _str_list(_get(body, "elements", where),
-                             f"{where}.elements")
-        has_covers = "covers" in body
-        has_order = "order" in body
-        if has_covers == has_order:
-            raise ParseError(
-                f"{where}: exactly one of 'covers' or 'order' is required")
-        key = "covers" if has_covers else "order"
-        pairs = []
-        for i, pair in enumerate(_as_list(body[key], f"{where}.{key}")):
-            pair = _str_list(pair, f"{where}.{key}[{i}]")
-            if len(pair) != 2:
-                raise ParseError(
-                    f"{where}.{key}[{i}]: expected [low, high]")
-            pairs.append((pair[0], pair[1]))
-        generators = None
-        if "generators" in body:
-            generators = _str_list(body["generators"], f"{where}.generators")
-        desires = _str_list(_get(body, "desires", where), f"{where}.desires")
-        intention = _as_str(_get(body, "intention", where),
-                            f"{where}.intention")
-        agent_lattices[agent_id] = {
-            "elements": elements, "pairs": pairs, "covers": has_covers,
-            "generators": generators, "desires": desires,
-            "intention": intention}
-
-    env = _as_map(_get(doc, "environment", "document"), "environment")
-    env_agents = []
-    for i, body in enumerate(_as_list(_get(env, "agents", "environment"),
-                                      "environment.agents")):
-        where = f"environment.agents[{i}]"
-        body = _as_map(body, where)
-        env_agents.append(AgentState(
-            id=_as_str(_get(body, "id", where), f"{where}.id"),
-            position=_cell(_get(body, "position", where), f"{where}.position"),
-            horizon=_as_int(_get(body, "horizon", where), f"{where}.horizon"),
-            movement_goal_id=_as_str(_get(body, "movement_goal", where),
-                                     f"{where}.movement_goal")))
-    env_goals = []
-    for i, body in enumerate(_as_list(_get(env, "goals", "environment"),
-                                      "environment.goals")):
-        where = f"environment.goals[{i}]"
-        body = _as_map(body, where)
-        features = []
-        for j, feat in enumerate(_as_list(_get(body, "features", where),
-                                          f"{where}.features")):
-            fwhere = f"{where}.features[{j}]"
-            feat = _as_map(feat, fwhere)
-            features.append((
-                _as_str(_get(feat, "name", fwhere), f"{fwhere}.name"),
-                _as_int(_get(feat, "range", fwhere), f"{fwhere}.range")))
-        env_goals.append(GoalObject(
-            id=_as_str(_get(body, "id", where), f"{where}.id"),
-            position=_cell(_get(body, "position", where), f"{where}.position"),
-            features=tuple(features)))
-    env_args = {
-        "width": _as_int(_get(env, "width", "environment"),
-                         "environment.width"),
-        "height": _as_int(_get(env, "height", "environment"),
-                          "environment.height"),
-        "obstacles": [_cell(c, f"environment.obstacles[{i}]")
-                      for i, c in enumerate(
-                          _as_list(env.get("obstacles", []),
-                                   "environment.obstacles"))],
-        "agents": env_agents,
-        "goals": env_goals,
-    }
-
-    planner_raw = _as_map(doc.get("planner", {}), "planner")
-    defaults = PlannerConfig()
-    subset_cap = planner_raw.get("subset_cap")
-    if subset_cap is not None:
-        subset_cap = _as_int(subset_cap, "planner.subset_cap")
-    planner = PlannerConfig(
-        depth=_as_int(planner_raw.get("depth", defaults.depth),
-                      "planner.depth"),
-        subset_cap=subset_cap,
-        eq1_mode=_as_str(planner_raw.get("eq1_mode", defaults.eq1_mode),
-                         "planner.eq1_mode"),
-        patience=_as_int(planner_raw.get("patience", defaults.patience),
-                         "planner.patience"),
-        max_steps=_as_int(planner_raw.get("max_steps", defaults.max_steps),
-                          "planner.max_steps"))
-
+    env = _field(doc, "document", "environment", _as_map)
     return RawScenario(
-        carrier=carrier, unit=unit, product=product,
+        carrier=carrier, unit=unit,
+        product={(x, y): xy for x, row in rows.items()
+                 for y, xy in row.items()},
         false_members=false_members, op_members=op_members,
         cl_members=cl_members, goal_map_members=goal_map_members,
         system_names=system_names, agent_lattices=agent_lattices,
-        env_args=env_args, planner=planner)
-
-
-def _build_phase(raw: RawScenario) -> PhaseSpace:
-    return validate_monoid(raw.carrier, raw.product, raw.unit,
-                           raw.false_members)
-
-
-def _build_op_cl(raw: RawScenario, phase: PhaseSpace) -> OpClPartition:
-    opens = [phase.subset(m) for m in raw.op_members]
-    closeds = [phase.subset(m) for m in raw.cl_members]
-    return validate_op_cl(phase, opens, closeds)
-
-
-def _build_spec(raw: RawScenario, phase: PhaseSpace) -> GoalLatticeSpec:
-    goal_map = {gid: phase.subset(m)
-                for gid, m in raw.goal_map_members.items()}
-    return build_goal_lattice_spec(phase, goal_map, raw.system_names)
-
-
-def _build_desire_lattice(body: Mapping) -> DesireLattice:
-    lattice = verify_poset(body["elements"], body["pairs"],
-                           covers=body["covers"],
-                           generators=body["generators"])
-    return build_desire_lattice(lattice, body["desires"], body["intention"])
-
-
-def _build_env(raw: RawScenario) -> GridEnvironment:
-    return build_environment(**raw.env_args)
+        env_args={
+            "agents": _field(env, "environment", "agents", _list_of(_agent)),
+            "goals": _field(env, "environment", "goals", _list_of(_goal)),
+            "width": _field(env, "environment", "width", _as_int),
+            "height": _field(env, "environment", "height", _as_int),
+            "obstacles": _field(env, "environment", "obstacles",
+                                _list_of(_cell), [])},
+        planner=_field(doc, "document", "planner", _planner, PlannerConfig()))
 
 
 def _check_cross_references(raw: RawScenario, env: GridEnvironment,
@@ -382,16 +344,24 @@ def _run_checks(raw: RawScenario, rows: list | None) -> Scenario:
             rows.append((name, True, ""))
         return result
 
-    phase = run("phase-monoid", lambda: _build_phase(raw))
-    op_cl = run("op-cl-classes", lambda: _build_op_cl(raw, phase), phase)
-    spec = run("system-lattice", lambda: _build_spec(raw, phase), phase)
+    phase = run("phase-monoid", lambda: validate_monoid(
+        raw.carrier, raw.product, raw.unit, raw.false_members))
+    op_cl = run("op-cl-classes", lambda: validate_op_cl(
+        phase, [phase.subset(m) for m in raw.op_members],
+        [phase.subset(m) for m in raw.cl_members]), phase)
+    spec = run("system-lattice", lambda: build_goal_lattice_spec(phase, {
+        gid: phase.subset(m) for gid, m in raw.goal_map_members.items()},
+        raw.system_names), phase)
     desire_lattices = {}
     for agent_id, body in sorted(raw.agent_lattices.items()):
         dl = run(f"desire-lattice {agent_id}",
-                 lambda body=body: _build_desire_lattice(body))
+                 lambda b=body: build_desire_lattice(
+                     verify_poset(b["elements"], b["pairs"], covers=b["covers"],
+                                  generators=b["generators"]),
+                     b["desires"], b["intention"]))
         if dl is not None:
             desire_lattices[agent_id] = dl
-    env = run("environment", lambda: _build_env(raw))
+    env = run("environment", lambda: build_environment(**raw.env_args))
     ok_lattices = (len(desire_lattices) == len(raw.agent_lattices)) or None
     run("cross-references",
         lambda: _check_cross_references(raw, env, desire_lattices),

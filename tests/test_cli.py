@@ -449,6 +449,12 @@ class TestDotCommand:
         assert code == 1
         assert "no desire lattice for agent 'nobody'" in err
 
+    def test_unknown_game_agent_exits_1(self, capsys):
+        code, out, err = run_main(
+            capsys, "dot", "agent-game:nobody:2", "--scenario", BUNDLED)
+        assert (code, out) == (1, "")
+        assert err == "error: no agent 'nobody' in the environment\n"
+
     def test_bad_game_depth_exits_1(self, capsys):
         code, _, err = run_main(
             capsys, "dot", "agent-game:agent-1:deep", "--scenario", BUNDLED)

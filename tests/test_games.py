@@ -84,6 +84,12 @@ class TestBuildGame:
         with pytest.raises(InvalidGame):
             build_game(["a"], "a", [("a", "a", 1)])
 
+    @pytest.mark.parametrize("edge", [("a", "b"), ("a", "b", 1, 1)])
+    def test_edge_not_a_triple(self, edge):
+        with pytest.raises(InvalidGame) as info:
+            build_game(["a", "b"], "a", [edge])
+        assert str(info.value) == f"edge {edge!r} is not (from, to, polarity)"
+
     def test_unreachable_vertex(self):
         with pytest.raises(InvalidGame):
             build_game(["a", "b", "c"], "a", [("a", "b", 1)])

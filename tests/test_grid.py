@@ -47,6 +47,16 @@ def one_goal_env(features, goal_at=(5, 5), agent_at=(2, 2), horizon=10,
 
 
 class TestBuildEnvironment:
+    def test_unknown_agent_and_goal_ids(self):
+        env = one_goal_env([("f", 1)])
+        assert env.agent("a1").id == "a1" and env.goal("g1").id == "g1"
+        with pytest.raises(InvalidEnvironment) as info:
+            env.agent("g1")
+        assert str(info.value) == "no agent 'g1'"
+        with pytest.raises(InvalidEnvironment) as info:
+            env.goal("a1")
+        assert str(info.value) == "no goal 'a1'"
+
     def test_rejects_degenerate_grid(self):
         with pytest.raises(InvalidEnvironment):
             make_env(0, 3)

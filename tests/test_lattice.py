@@ -111,6 +111,21 @@ def test_foreign_element():
     assert "nope" not in lat and "x" in lat
 
 
+@pytest.mark.parametrize("elements, pairs, generators, error, message", [
+    ([], [], None, LatticeError, "a lattice needs at least one element"),
+    (["a", "b"], [("a", "q")], None, ForeignElement,
+     "relation pair ('a', 'q') uses unknown elements"),
+    (["0", "1"], [("0", "1")], ["1", "q"], ForeignElement,
+     "generator 'q' is not an element"),
+])
+def test_verify_poset_input_errors(elements, pairs, generators,
+                                    error, message):
+    with pytest.raises(error) as info:
+        verify_poset(elements, pairs, covers=True, generators=generators)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def test_join_with_bottom_is_identity():
     for lat in sample_lattices():
         for e in lat.elements:

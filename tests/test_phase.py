@@ -423,6 +423,16 @@ class TestOpClClasses:
         with pytest.raises(NotDualClasses):
             validate_op_cl(space, [space.zero, space.i_fact], [space.one])
 
+    @pytest.mark.parametrize("side", ["open", "closed"])
+    def test_member_from_another_space(self, side):
+        space, other = union2(), union2()
+        opens = [space.zero, space.i_fact]
+        closeds = [space.one, space.false_fact]
+        (opens if side == "open" else closeds).append(other.i_fact)
+        with pytest.raises(SpaceMismatch) as info:
+            validate_op_cl(space, opens, closeds)
+        assert str(info.value) == "class member belongs to another space"
+
     def test_swapped_classes_fail_extremes(self):
         # duality is symmetric under the swap, so the extremes catch it
         space = union2()

@@ -467,6 +467,12 @@ class TestChoosePlay:
         out = choose_play(env, self.spec_for(env), ["g"], 1)
         assert out == [{"a": ((2, 1),)}]
 
+    def test_unknown_eq1_mode(self):
+        env = self.one_agent_env()
+        with pytest.raises(PlannerError) as info:
+            choose_play(env, self.spec_for(env), ["g"], 1, eq1_mode="joint")
+        assert str(info.value) == "unknown eq1 mode 'joint'"
+
     def test_two_agents_split_between_goals(self):
         agents = [AgentState("a1", (1, 0), 5, "m1"),
                   AgentState("a2", (3, 0), 5, "m2")]
@@ -953,6 +959,43 @@ class TestPlanOnce:
                              discovered=discovered, depth=0, subset_cap=cap)
             assert plan.tie_break
             assert plan.chosen_goals == chosen
+
+    def test_tie_break_size_rule(self):
+        """A singleton and a pair tie on priority and score: the smaller
+        subset wins, although the pair comes first in subset order."""
+        carrier = [str(i) for i in range(5)]
+        table = {(x, y): str(min(int(x) + int(y), 4))
+                 for x in carrier for y in carrier}
+        phase = validate_monoid(carrier, table, "0", ["1", "4"])
+        # the second agent's movement goal is I, the unit of tensor, so the
+        # movement term is m0 alone
+        spec = build_goal_lattice_spec(phase, {
+            "g0": phase.subset(["1", "4"]), "g1": phase.subset(["0", "3", "4"]),
+            "g2": phase.subset(["1", "4"]), "m0": phase.subset(["3", "4"]),
+            "i0": phase.i_fact})
+        ranked = select_intentions(spec, ["g0", "g1", "g2"],
+                                   movement_ids=["m0", "i0"], max_size=2)
+        assert [goals for goals, _ in ranked] == [("g1",), ("g0", "g2")]
+        assert all(priority.members == frozenset(carrier)
+                   for _, priority in ranked)
+        assert [subset_score(spec, goals) for goals, _ in ranked] \
+            == [Fraction(2, 3)] * 2
+        feats = (("f", 1),)
+        env = build_environment(
+            5, 5, [], [AgentState("a", (0, 0), 2, "m0"),
+                       AgentState("b", (4, 4), 2, "i0")],
+            [GoalObject("g0", (2, 0), feats), GoalObject("g1", (2, 2), feats),
+             GoalObject("g2", (0, 2), feats)])
+        lat = verify_poset(
+            ["0", "g0", "g1", "g2", "1"],
+            [("0", "g0"), ("0", "g1"), ("0", "g2"),
+             ("g0", "1"), ("g1", "1"), ("g2", "1")], covers=True)
+        desires = {a: build_desire_lattice(lat, ["g0", "g1", "g2"], "1")
+                   for a in ("a", "b")}
+        plan = plan_once(env, spec, desires, discovered=["g0", "g1", "g2"],
+                         depth=0, subset_cap=2)
+        assert plan.tie_break
+        assert plan.chosen_goals == ("g1",)
 
     def test_walkthrough_depth_three(self):
         env = walkthrough_env()

@@ -51,6 +51,15 @@ def parse_mutated(tmp_path, mutate):
     return parse_scenario(write_doc(tmp_path, doc))
 
 
+def _set(*keys_and_value):
+    *keys, last, value = keys_and_value
+    def mutate(doc):
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
 def cyclic_phase(doc, n):
     """Give the document the phase space Z_n with false set {0}: its facts
     are the empty set, the singletons and the carrier."""
@@ -209,6 +218,45 @@ class TestParseErrors:
         assert "environment.goals[0].features[0]:" \
             " missing required field 'range'" in str(exc.value)
 
+    @pytest.mark.parametrize("mutate, message", [
+        # a goal's features are read before its id and position
+        (_set("environment", "goals", 0, {"position": [0, 0]}),
+         "environment.goals[0]: missing required field 'features'"),
+        # agents and goals are read before width, height and obstacles
+        (lambda doc: (
+            doc["environment"].pop("width"),
+            _set("environment", "agents", 0, "position", [1, 2, 3])(doc)),
+         "environment.agents[0].position: expected [col, row], got 3 items"),
+        # subset_cap is the first planner field read
+        (lambda doc: doc["planner"].update(subset_cap="x", depth="y"),
+         "planner.subset_cap: expected an integer, got str"),
+        (_set("lattices", "agents", "agent-1", "covers", 0,
+              ["0", "b1", "b2"]),
+         "lattices.agents.agent-1.covers[0]: expected [low, high]"),
+        # covers and order exclude each other before any pair is read
+        (lambda doc: doc["lattices"]["agents"]["agent-1"].update(
+            order=[["0", "b1"]], covers="bad"),
+         "lattices.agents.agent-1: exactly one of 'covers' or 'order'"
+         " is required"),
+        # a duplicate entry fails before any later entry is read
+        (_set("lattices", "system", "names", slice(1, 3),
+              [{"members": [], "name": "again"}, "not a mapping"]),
+         "lattices.system.names[1]: duplicate members entry"),
+        (_set("lattices", "agents", "agent-1", "generators", None),
+         "lattices.agents.agent-1.generators: expected a list, got NoneType"),
+        (_set("phase", "product", {7: {"e": "e"}}),
+         "phase.product key: expected a string, got int"),
+    ])
+    def test_reading_order(self, tmp_path, mutate, message):
+        with pytest.raises(ParseError) as exc:
+            parse_mutated(tmp_path, mutate)
+        assert str(exc.value) == message
+
+    def test_null_subset_cap_is_absent(self, tmp_path):
+        raw = parse_mutated(tmp_path, _set("planner", "subset_cap", None))
+        assert raw.planner.subset_cap is None
+        assert raw.planner.depth == 2
+
     def test_optional_sections_default(self, tmp_path):
         def mutate(doc):
             doc.pop("planner")
@@ -257,15 +305,6 @@ class TestLoaderPaths:
         used = spy_loaders(monkeypatch)
         assert vars(parse_scenario(BUNDLED)) == expected
         assert used == [yaml.SafeLoader]
-
-
-def _set(*keys_and_value):
-    *keys, last, value = keys_and_value
-    def mutate(doc):
-        for key in keys:
-            doc = doc[key]
-        doc[last] = value
-    return mutate
 
 
 # name -> (the first check that fails, mutation of the walkthrough)
