@@ -36,6 +36,7 @@ from .planner import (
     build_desire_lattice,
     build_goal_lattice_spec,
     check_search_bounds,
+    check_step_bound,
 )
 
 
@@ -319,6 +320,7 @@ def _check_planner(raw: RawScenario, env: GridEnvironment) -> None:
         raise PlannerError(f"patience {cfg.patience} must be >= 1")
     if cfg.max_steps < 0:
         raise PlannerError(f"max steps {cfg.max_steps} must be >= 0")
+    check_step_bound(cfg.max_steps)
 
 
 def _run_checks(raw: RawScenario, rows: list | None) -> Scenario:

@@ -13,6 +13,7 @@ import yaml
 from latticeplan.cli import main
 from latticeplan.grid import GRID_CELL_BOUND, HORIZON_BOUND
 from latticeplan.lattice import LATTICE_ELEMENT_BOUND
+from latticeplan.planner import SIMULATE_STEP_BOUND
 from latticeplan.scenario import C_LOADER_MAX_CHARS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -391,6 +392,36 @@ class TestSimulateCommand:
         assert out.splitlines()[-1] == (
             "end reason=step limit 1 steps=1"
             " pos=agent-1:(2,3),agent-2:(4,2),agent-3:(6,2)")
+
+    def test_endless_run_exits_3_before_the_first_step(self, tmp_path,
+                                                       capsys):
+        """The walkthrough's goals walled in, with patience and max_steps
+        at 10**9: no goal is ever reached, so the run would not end."""
+        def wall_in(doc):
+            doc["environment"]["obstacles"] += [
+                [0, 5], [1, 4], [2, 5], [1, 6], [3, 1], [5, 1], [4, 0], [4, 2]]
+            doc["planner"].update(patience=10**9, max_steps=10**9)
+        path = write_mutated(tmp_path, wall_in)
+        message = "max steps 1000000000 exceed the bound 10000"
+        for command in ("plan", "simulate"):
+            code, out, err = run_main(capsys, command, "--scenario", path)
+            assert (code, out, err) == (3, "", f"limit exceeded: {message}\n")
+        code, out, err = run_main(capsys, "validate", "--scenario", path)
+        assert code == 1 and err == ""
+        failed = [line for line in out.splitlines() if "FAIL" in line]
+        assert failed == [f"planner-config: FAIL ({message})"]
+
+    def test_step_bound(self, tmp_path, capsys):
+        code, out, err = run_main(capsys, "simulate", "--scenario", BUNDLED,
+                                  "--max-steps", str(SIMULATE_STEP_BOUND + 1))
+        assert (code, out) == (3, "")
+        assert err == ("limit exceeded: max steps 10001 exceed the bound"
+                       " 10000\n")
+        path = write_mutated(tmp_path, lambda doc: doc["planner"].update(
+            max_steps=SIMULATE_STEP_BOUND))
+        code, out, err = run_main(capsys, "validate", "--scenario", path)
+        assert code == 0 and err == ""
+        assert "planner-config: PASS" in out.splitlines()
 
     def test_byte_determinism_across_processes(self):
         def run(seed):

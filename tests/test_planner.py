@@ -2,7 +2,9 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
+from operator import or_
 
 import pytest
 
@@ -18,18 +20,23 @@ from latticeplan.lattice import (
 )
 from latticeplan.phase import (
     SpaceMismatch,
+    dual,
     enumerate_facts,
     linear_implication,
+    par,
+    tensor,
     validate_monoid,
 )
 from latticeplan.planner import (
     EQ1_MODES,
+    SIMULATE_STEP_BOUND,
     DepthTooLarge,
     DesireLattice,
     InvalidDesires,
     LengthMismatch,
     MissingDesireVertex,
     PlannerError,
+    TooManySteps,
     UnknownGoalId,
     assign_agents,
     build_desire_lattice,
@@ -192,6 +199,48 @@ class TestProcessPriority:
         with pytest.raises(UnknownGoalId):
             process_priority(spec, MOVEMENT, ["zz"])
 
+    def test_matches_par_of_the_dual(self):
+        """Seeded monoids (cyclic, min, max, union) with random false sets:
+        the priority is par(dual(A), B), for A the tensor of the movement
+        facts and B that of the goal facts."""
+        def monoid(rng, kind):
+            if kind == "union":
+                carrier = range(2 ** rng.randint(1, 3))
+                op, unit = or_, 0
+            else:
+                n = rng.randint(1, 6)
+                carrier = range(n)
+                op, unit = {"cyclic": (lambda x, y: (x + y) % n, 0),
+                            "min": (min, n - 1), "max": (max, 0)}[kind]
+            names = [str(x) for x in carrier]
+            table = {(str(x), str(y)): str(op(x, y))
+                     for x in carrier for y in carrier}
+            false_set = rng.sample(names, rng.randint(0, len(names)))
+            return validate_monoid(names, table, str(unit), false_set)
+
+        def fold(spec, ids):
+            return reduce(tensor, [spec.fact_of(i) for i in ids],
+                          spec.phase.i_fact)
+
+        seen = set()
+        for seed in range(80):
+            rng = random.Random(seed)
+            kind = rng.choice(["cyclic", "min", "max", "union"])
+            phase = monoid(rng, kind)
+            facts = enumerate_facts(phase)
+            ids = [f"x{i}" for i in range(5)]
+            spec = build_goal_lattice_spec(
+                phase, {i: rng.choice(facts) for i in ids})
+            movement = rng.choices(ids, k=rng.randint(0, 3))
+            goals = rng.sample(ids, rng.randint(0, 3))
+            expected = par(dual(fold(spec, movement)), fold(spec, goals))
+            got = process_priority(spec, movement, goals)
+            assert got.members == expected.members, seed
+            if expected.members not in (phase.i_fact.members,
+                                        fold(spec, goals).members):
+                seen.add(kind)  # neither the unit nor the goals alone
+        assert seen == {"cyclic", "min", "max", "union"}
+
     def test_permutation_invariance(self):
         spec = system_spec()
         rng = random.Random(17)
@@ -237,7 +286,7 @@ class TestSelectIntentions:
 
     def test_reachability_filter(self):
         spec = system_spec()
-        out = select_intentions(spec, ["b1", "b2"], lambda g: g != "b1",
+        out = select_intentions(spec, [g for g in ["b1", "b2"] if g != "b1"],
                                 movement_ids=MOVEMENT)
         assert [s for s, _ in out] == [("b2",)]
 
@@ -277,9 +326,11 @@ class TestSelectIntentions:
             discovered = rng.sample(goals, rng.randint(0, n))
             hidden = set(rng.sample(discovered, len(discovered) // 4))
             max_size = rng.choice([1, 2, 3] + ([None] if n <= 10 else []))
-            args = (spec, discovered, lambda g: g not in hidden)
-            expected, candidates = pairwise(*args, movement, max_size)
-            assert select_intentions(*args, movement_ids=movement,
+            expected, candidates = pairwise(
+                spec, discovered, lambda g: g not in hidden, movement,
+                max_size)
+            pool = [g for g in sorted(discovered) if g not in hidden]
+            assert select_intentions(spec, pool, movement_ids=movement,
                                      max_size=max_size) == expected, seed
             tied += len({p.members for _, p in expected}) > 1
             dropped += len(expected) < candidates
@@ -546,7 +597,7 @@ class TestMaximal:
         assert planner_module._maximal([]) == set()
 
 
-def brute_force_plays(env, goal_ids, depth, eq1_mode):
+def brute_force_plays(env, goal_ids, depth, eq1_mode, scouted=None):
     """Maximal plays by scoring every joint play with play_reward."""
     per_agent = []
     for a in env.agents:
@@ -561,7 +612,8 @@ def brute_force_plays(env, goal_ids, depth, eq1_mode):
         play = {a.id: cells for a, (cells, _) in zip(env.agents, combo)}
         key = tuple(idxs[t] for t in range(depth) for _, idxs in combo)
         scored.append((key, play, play_reward(env, play, goal_ids,
-                                              eq1_mode=eq1_mode)))
+                                              eq1_mode=eq1_mode,
+                                              scouted=scouted)))
     values = {v for _, _, v in scored}
     best = {v for v in values if not any(v < w for w in values)}
     return [play for _, play, v in sorted(scored, key=lambda s: s[0])
@@ -587,13 +639,26 @@ def random_walkthrough_like(rng):
 
 
 class TestChoosePlayOracle:
-    def test_ordered_brute_force_in_both_modes(self):
+    def test_ordered_brute_force_in_both_modes(self, monkeypatch):
+        """Also with a scouted set given, as simulate gives one: the plan's
+        reward is the first play's, and plan_once takes it from the search,
+        not from play_reward."""
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return play_reward(*args, **kwargs)
+
+        monkeypatch.setattr(planner_module, "play_reward", spy)
         spec = system_spec()
         for k in range(16):
             rng = random.Random(7100 + k)
             env = random_walkthrough_like(rng)
             depth = rng.randint(0, 2)
             chosen = rng.sample(["b1", "b2"], rng.randint(1, 2))
+            cells = [(c, r) for c in range(env.width)
+                     for r in range(env.height)]
+            scouted = frozenset(rng.sample(cells, rng.randint(0, len(cells))))
             for mode in EQ1_MODES:
                 for goals in ([], chosen):
                     expected = brute_force_plays(env, goals, depth, mode)
@@ -606,6 +671,15 @@ class TestChoosePlayOracle:
                     env, plan.chosen_goals, depth, mode), (k, mode)
                 assert plan.total_reward == play_reward(
                     env, plan.plays, plan.chosen_goals, eq1_mode=mode)
+                plan = plan_once(env, spec, walkthrough_desires(),
+                                 discovered=chosen, scouted=scouted,
+                                 depth=depth, eq1_mode=mode)
+                assert list(plan.alternates) == brute_force_plays(
+                    env, plan.chosen_goals, depth, mode, scouted), (k, mode)
+                assert plan.total_reward == play_reward(
+                    env, plan.plays, plan.chosen_goals, eq1_mode=mode,
+                    scouted=scouted), (k, mode)
+        assert calls == []
 
 
 def path_signature(env, agent, cells, goal_ids, eq1_mode, scouted):
@@ -1099,6 +1173,17 @@ class TestLazyAlternates:
 
 
 class TestSimulate:
+    def test_step_bound_before_the_first_step(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(planner_module, "plan_once",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(TooManySteps) as info:
+            simulate(walkthrough_env(), system_spec(), walkthrough_desires(),
+                     max_steps=SIMULATE_STEP_BOUND + 1)
+        assert isinstance(info.value, LimitExceeded)
+        assert str(info.value) == "max steps 10001 exceed the bound 10000"
+        assert calls == []
+
     def test_walled_in_no_goals_ends_by_patience(self):
         agents = [AgentState("a", (1, 1), 1, "m")]
         env = build_environment(3, 3, [(1, 0), (2, 1), (1, 2), (0, 1)],
