@@ -41,30 +41,14 @@ def cmd_validate(path: str) -> int:
     return 0 if all(ok for _, ok, _ in rows) else 1
 
 
-def _fact_marks(scenario: Scenario, members: frozenset) -> str:
-    phase = scenario.phase
-    marks = []
-    if members == phase.zero.members:
-        marks.append("0")
-    if members == phase.one.members:
-        marks.append("1")
-    if members == phase.i_fact.members:
-        marks.append("I")
-    if members == phase.false_fact.members:
-        marks.append("bot")
-    op_cl = scenario.op_cl
-    if op_cl is not None:
-        if members in {f.members for f in op_cl.open_facts}:
-            marks.append("Op")
-        if members in {f.members for f in op_cl.closed_facts}:
-            marks.append("Cl")
-    return ",".join(marks) if marks else "-"
-
-
 def cmd_facts(scenario: Scenario) -> int:
+    phase, op_cl = scenario.phase, scenario.op_cl
+    marked = [("0", {phase.zero}), ("1", {phase.one}), ("I", {phase.i_fact}),
+              ("bot", {phase.false_fact}), ("Op", op_cl.open_facts),
+              ("Cl", op_cl.closed_facts)]
     for fact in scenario.spec.facts:
         name = scenario.spec.fact_name(fact)
-        marks = _fact_marks(scenario, fact.members)
+        marks = ",".join(m for m, facts in marked if fact in facts) or "-"
         print(f"fact {subset_id(fact.members)} name={name} marks={marks}")
     return 0
 

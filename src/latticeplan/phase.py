@@ -82,28 +82,16 @@ class PhaseSpace:
             raise SpaceMismatch(f"members {sorted(unknown)} not in carrier")
         return MonoidSubset(self, members)
 
-    @property
-    def empty(self) -> MonoidSubset:
-        return MonoidSubset(self, frozenset())
-
-    @property
-    def full(self) -> MonoidSubset:
-        return MonoidSubset(self, frozenset(self.carrier))
-
-    @property
-    def false_set(self) -> MonoidSubset:
-        return MonoidSubset(self, self.false_members)
-
     # Distinguished facts. "one" is the whole carrier, "zero" the closure of
     # the empty subset, "i_fact" the closure of the unit, and "false_fact"
     # the closure of the false subset.
     @property
     def one(self) -> MonoidSubset:
-        return self.full
+        return MonoidSubset(self, frozenset(self.carrier))
 
     @property
     def zero(self) -> MonoidSubset:
-        return closure(self.empty)
+        return closure(MonoidSubset(self, frozenset()))
 
     @property
     def i_fact(self) -> MonoidSubset:
@@ -111,7 +99,7 @@ class PhaseSpace:
 
     @property
     def false_fact(self) -> MonoidSubset:
-        return closure(self.false_set)
+        return closure(MonoidSubset(self, self.false_members))
 
 
 @dataclass(frozen=True)
@@ -124,13 +112,6 @@ class MonoidSubset:
     def __le__(self, other: "MonoidSubset") -> bool:
         _same_space(self, other)
         return self.members <= other.members
-
-    def __lt__(self, other: "MonoidSubset") -> bool:
-        _same_space(self, other)
-        return self.members < other.members
-
-    def sorted_members(self) -> list[str]:
-        return sorted(self.members)
 
     def display(self) -> str:
         return subset_id(self.members)
@@ -204,7 +185,8 @@ def dual(x: MonoidSubset) -> MonoidSubset:
     space = x.space
     cached = space._dual_cache.get(x.members)
     if cached is None:
-        cached = linear_implication(x, space.false_set).members
+        cached = linear_implication(
+            x, MonoidSubset(space, space.false_members)).members
         space._dual_cache[x.members] = cached
     return MonoidSubset(space, cached)
 
@@ -269,7 +251,7 @@ def enumerate_facts(space: PhaseSpace) -> list[MonoidSubset]:
         principal = dual(MonoidSubset(space, frozenset([m]))).members
         found |= {f & principal for f in found}
     facts = [MonoidSubset(space, f) for f in found]
-    facts.sort(key=lambda f: (len(f.members), f.sorted_members()))
+    facts.sort(key=lambda f: (len(f.members), sorted(f.members)))
     return facts
 
 

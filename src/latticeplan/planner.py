@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
-from math import prod
+from math import comb, prod
 from operator import and_, itemgetter, or_
 from typing import Iterable, Mapping, Sequence
 
@@ -52,6 +52,11 @@ EQ1_MODES = ("per-goal", "positionwise")
 # on Python 3.11: 1,000 steps took 0.55 s of CPU and 20.9 MB max RSS, and
 # 10,000 steps 3.19 s and 53.1 MB, as every step keeps its trace line.
 SIMULATE_STEP_BOUND = 10_000
+# `plan` on the walkthrough with extra visible goals mapped in turn onto the
+# facts of b1-b3 and no subset cap, one CLI process on Python 3.11: 84 goals
+# (98,854 subsets of at most three) took 2.4-2.7 s of CPU and 37.6 MB max
+# RSS, and 102 goals (176,953 subsets) 4.7 s and 51.8 MB.
+INTENTION_SUBSET_BOUND = 100_000
 
 
 class PlannerError(LatticePlanError):
@@ -71,6 +76,10 @@ class DepthTooLarge(PlannerError, LimitExceeded):
 
 
 class TooManySteps(PlannerError, LimitExceeded):
+    pass
+
+
+class TooManyGoalSubsets(PlannerError, LimitExceeded):
     pass
 
 
@@ -161,7 +170,8 @@ def select_intentions(spec: GoalLatticeSpec, discovered: Iterable[str],
     depends only on the multiset of the goals' facts, as tensor is
     commutative, so it is evaluated once per multiset. The maxima are
     found among the distinct priorities, which are facts, so there are at
-    most as many as facts however many candidates there are.
+    most as many as facts however many candidates there are. More than
+    INTENTION_SUBSET_BOUND candidates are refused before any is listed.
     """
     pool = sorted(discovered)
     cap = len(pool) if max_size is None else min(max_size, len(pool))
@@ -173,6 +183,10 @@ def select_intentions(spec: GoalLatticeSpec, discovered: Iterable[str],
         for g in pool:
             fact_no[g] = numbers.setdefault(spec.fact_of(g).members,
                                             len(numbers))
+    count = sum(comb(len(pool), size) for size in range(1, cap + 1))
+    if count > INTENTION_SUBSET_BOUND:
+        raise TooManyGoalSubsets(f"{count} goal subsets exceed the bound"
+                                 f" {INTENTION_SUBSET_BOUND}")
     priorities: dict = {}  # sorted fact numbers -> priority
     candidates = []
     for size in range(1, cap + 1):
@@ -232,18 +246,26 @@ class _Encoder:
     the slots. A signature is the join of its cells' signatures, so it
     depends only on the set of cells visited. Join is `|`, and `a` lies
     within `b` when `a | b == b`; `value` reads the reward off a signature.
+    Building one checks the mode and the goal ids, and without `scouted`
+    takes the cells the agents see at the start as scouted.
     """
 
-    def __init__(self, env: GridEnvironment, goals, eq1_mode: str,
-                 scouted: frozenset):
-        self.env, self.goals, self.scouted = env, goals, scouted
+    def __init__(self, env: GridEnvironment, goal_ids: Sequence[str],
+                 eq1_mode: str, scouted: frozenset | None):
+        check_eq1_mode(eq1_mode)
+        known = {g.id for g in env.goals}
+        for g in goal_ids:
+            if g not in known:
+                raise UnknownGoalId(f"no goal {g!r} in the environment")
+        self.env, self.goals = env, [env.goal(g) for g in goal_ids]
+        self.scouted = _seen_at_start(env) if scouted is None else scouted
         self.features: dict = {}  # goal feature name -> bit position
-        for g in goals:
+        for g in self.goals:
             for name in g.feature_names():
                 self.features.setdefault(name, len(self.features))
         self.width = len(self.features)
         self.per_goal = eq1_mode == "per-goal"
-        slots = len(goals) if self.per_goal else 1
+        slots = len(self.goals) if self.per_goal else 1
         self.shifts = [i * self.width for i in range(slots)]
         self.scout_shift = slots * self.width
         self.scouts: dict = {}  # scouted cell -> bit position above the slots
@@ -348,13 +370,8 @@ def play_reward(env: GridEnvironment, joint_play: Mapping,
     position and the goals meet afterwards; positionwise mode meets the
     goals at each single position before joining along the play.
     """
-    if eq1_mode not in EQ1_MODES:
-        raise PlannerError(f"unknown eq1 mode {eq1_mode!r}")
+    enc = _Encoder(env, chosen_goals, eq1_mode, scouted)
     positions = _positions_of(env, joint_play)
-    goals = [env.goal(g) for g in chosen_goals]
-    if scouted is None:
-        scouted = _seen_at_start(env)
-    enc = _Encoder(env, goals, eq1_mode, scouted)
     return enc.decode(enc.value(reduce(
         or_, [enc.signature(a, positions[a.id]) for a in env.agents], 0)))
 
@@ -368,6 +385,12 @@ def check_search_bounds(depth: int, agent_count: int) -> None:
     if agent_count > EXHAUSTIVE_AGENT_BOUND:
         raise DepthTooLarge(f"{agent_count} agents exceed the exact bound"
                             f" {EXHAUSTIVE_AGENT_BOUND}")
+
+
+def check_eq1_mode(eq1_mode: str) -> None:
+    """Reject a reward mode that is not in EQ1_MODES."""
+    if eq1_mode not in EQ1_MODES:
+        raise PlannerError(f"unknown eq1 mode {eq1_mode!r}")
 
 
 def check_step_bound(max_steps: int) -> None:
@@ -470,17 +493,9 @@ def choose_play(env: GridEnvironment, spec: GoalLatticeSpec,
     their interleaved move indices.
     """
     check_search_bounds(depth, len(env.agents))
-    known = {g.id for g in env.goals}
+    enc = _Encoder(env, chosen_goals, eq1_mode, scouted)
     for g in chosen_goals:
-        if g not in known:
-            raise UnknownGoalId(f"no goal {g!r} in the environment")
         spec.fact_of(g)
-    if eq1_mode not in EQ1_MODES:
-        raise PlannerError(f"unknown eq1 mode {eq1_mode!r}")
-    goals = [env.goal(g) for g in chosen_goals]
-    if scouted is None:
-        scouted = _seen_at_start(env)
-    enc = _Encoder(env, goals, eq1_mode, scouted)
 
     per_agent = []
     for i, a in enumerate(env.agents):
@@ -498,12 +513,12 @@ def choose_play(env: GridEnvironment, spec: GoalLatticeSpec,
 
     groups = [_by_dominance(list(classes)) for classes in per_agent]
     value = enc.value
-    values = {top: value(reduce(or_, top)) for top in product(*groups)}
+    values = {top: value(reduce(or_, top, 0)) for top in product(*groups)}
     maxima = _maximal(values.values())
     combos = [([classes[sig] for classes, sig in zip(per_agent, combo)], best)
               for top, best in values.items() if best in maxima
               for combo in product(*(g[sig] for g, sig in zip(groups, top)))
-              if value(reduce(or_, combo)) == best]
+              if value(reduce(or_, combo, 0)) == best]
     return MaximalPlays([a.id for a in env.agents], combos, enc.decode)
 
 

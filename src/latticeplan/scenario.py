@@ -30,11 +30,11 @@ from .grid import (
 from .lattice import verify_poset
 from .phase import OpClPartition, PhaseSpace, validate_monoid, validate_op_cl
 from .planner import (
-    EQ1_MODES,
     GoalLatticeSpec,
     PlannerError,
     build_desire_lattice,
     build_goal_lattice_spec,
+    check_eq1_mode,
     check_search_bounds,
     check_step_bound,
 )
@@ -312,8 +312,7 @@ def _check_cross_references(raw: RawScenario, env: GridEnvironment,
 def _check_planner(raw: RawScenario, env: GridEnvironment) -> None:
     cfg = raw.planner
     check_search_bounds(cfg.depth, len(env.agents))
-    if cfg.eq1_mode not in EQ1_MODES:
-        raise PlannerError(f"unknown eq1 mode {cfg.eq1_mode!r}")
+    check_eq1_mode(cfg.eq1_mode)
     if cfg.subset_cap is not None and cfg.subset_cap < 1:
         raise PlannerError(f"subset cap {cfg.subset_cap} must be >= 1")
     if cfg.patience < 1:

@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 import yaml
 
+from latticeplan import planner
 from latticeplan.cli import main
 from latticeplan.grid import GRID_CELL_BOUND, HORIZON_BOUND
 from latticeplan.lattice import LATTICE_ELEMENT_BOUND
-from latticeplan.planner import SIMULATE_STEP_BOUND
+from latticeplan.planner import INTENTION_SUBSET_BOUND, SIMULATE_STEP_BOUND
 from latticeplan.scenario import C_LOADER_MAX_CHARS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -94,6 +95,31 @@ def write_mutated(tmp_path, mutate):
     return str(path)
 
 
+def drop_agents(doc):
+    doc["environment"]["agents"] = []
+    doc["lattices"]["agents"] = {}
+
+
+def add_visible_goals(count):
+    """A mutation adding goals x000, x001, ... in sight of agent-2, mapped
+    in turn onto the facts of b1-b3, as atoms of every desire lattice, with
+    no subset cap."""
+    def mutate(doc):
+        facts = [doc["phase"]["goal_map"][b] for b in ("b1", "b2", "b3")]
+        for i in range(count):
+            gid = f"x{i:03d}"
+            doc["phase"]["goal_map"][gid] = facts[i % 3]
+            doc["environment"]["goals"].append(
+                {"id": gid, "position": [3 + i % 3, 2 + i // 3 % 3],
+                 "features": [{"name": "profile", "range": 4}]})
+            for body in doc["lattices"]["agents"].values():
+                body["elements"].append(gid)
+                body["generators"].append(gid)
+                body["covers"] += [["0", gid], [gid, "U123"]]
+        doc["planner"]["subset_cap"] = None
+    return mutate
+
+
 class TestValidateCommand:
     def test_bundled_scenario_all_pass(self, capsys):
         code, out, err = run_main(capsys, "validate", "--scenario", BUNDLED)
@@ -106,6 +132,19 @@ class TestValidateCommand:
             "desire-lattice agent-1: PASS",
             "desire-lattice agent-2: PASS",
             "desire-lattice agent-3: PASS",
+            "environment: PASS",
+            "cross-references: PASS",
+            "planner-config: PASS",
+        ]
+
+    def test_no_agents_all_pass(self, capsys, tmp_path):
+        path = write_mutated(tmp_path, drop_agents)
+        code, out, err = run_main(capsys, "validate", "--scenario", path)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "phase-monoid: PASS",
+            "op-cl-classes: PASS",
+            "system-lattice: PASS",
             "environment: PASS",
             "cross-references: PASS",
             "planner-config: PASS",
@@ -297,6 +336,33 @@ class TestPlanCommand:
         assert code == 3
         assert err.startswith("limit exceeded:")
 
+    def test_no_agents_plan_the_empty_play(self, capsys, tmp_path):
+        path = write_mutated(tmp_path, drop_agents)
+        code, out, err = run_main(capsys, "plan", "--scenario", path)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "discovered=", "chosen=", "priority=I", "tie=0", "assign=",
+            "free=", "alternates=1", "reward="]
+
+    def test_goal_subsets_over_the_bound_exit_3(self, capsys, monkeypatch):
+        """The walkthrough's two visible goals under a cap of two give
+        three subsets."""
+        monkeypatch.setattr(planner, "INTENTION_SUBSET_BOUND", 3)
+        code, out, _ = run_main(capsys, "plan", "--scenario", BUNDLED)
+        assert (code, out.splitlines()) == (0, PLAN_LINES)
+        monkeypatch.setattr(planner, "INTENTION_SUBSET_BOUND", 2)
+        code, out, err = run_main(capsys, "plan", "--scenario", BUNDLED)
+        assert (code, out) == (3, "")
+        assert err == "limit exceeded: 3 goal subsets exceed the bound 2\n"
+
+    def test_many_visible_goals_exit_3(self, capsys, tmp_path):
+        """85 visible goals give 102,425 subsets of at most three."""
+        path = write_mutated(tmp_path, add_visible_goals(83))
+        code, out, err = run_main(capsys, "plan", "--scenario", path)
+        assert (code, out) == (3, "")
+        assert err == ("limit exceeded: 102425 goal subsets exceed the bound"
+                       f" {INTENTION_SUBSET_BOUND}\n")
+
     def test_oversized_desire_lattice_exits_3(self, tmp_path):
         ids = [f"x{i}" for i in range(LATTICE_ELEMENT_BOUND + 1)]
 
@@ -410,6 +476,13 @@ class TestSimulateCommand:
         assert code == 1 and err == ""
         failed = [line for line in out.splitlines() if "FAIL" in line]
         assert failed == [f"planner-config: FAIL ({message})"]
+
+    def test_no_agents_end_by_patience(self, capsys, tmp_path):
+        path = write_mutated(tmp_path, drop_agents)
+        code, out, err = run_main(capsys, "simulate", "--scenario", path)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == (
+            "end reason=no progress for 6 steps steps=5 pos=")
 
     def test_step_bound(self, tmp_path, capsys):
         code, out, err = run_main(capsys, "simulate", "--scenario", BUNDLED,

@@ -5,7 +5,8 @@ exit code 0, 1, 2 or 3 and no traceback; exit 2 reports a parse error and
 exit 3 an exceeded limit. The documents run in batches in a few child
 processes, each under CPU-time and address-space limits that it sets on
 itself, so a runaway search or allocation fails the test instead of the
-test run.
+test run. Paired deletions, which drop agents or goals from every section
+that names them, down to none, must keep the document valid.
 """
 
 import copy
@@ -13,6 +14,7 @@ import json
 import random
 import subprocess
 import sys
+from itertools import combinations, product
 
 import yaml
 
@@ -144,25 +146,56 @@ def fuzzed_document(seed):
     return text.replace(NEST, "[" * depth + "]" * depth)
 
 
-def test_every_run_ends_in_a_plan_or_a_typed_error(tmp_path):
+def paired_deletions():
+    """The walkthrough with each subset of its agents dropped from both
+    environment.agents and lattices.agents, crossed with each subset of its
+    goals dropped from both environment.goals and phase.goal_map."""
+    def subsets(items):
+        return [c for k in range(len(items) + 1)
+                for c in combinations(items, k)]
+
+    agents = [a["id"] for a in WALKTHROUGH["environment"]["agents"]]
+    goals = [g["id"] for g in WALKTHROUGH["environment"]["goals"]]
+    for gone_agents, gone_goals in product(subsets(agents), subsets(goals)):
+        doc = copy.deepcopy(WALKTHROUGH)
+        env = doc["environment"]
+        env["agents"] = [a for a in env["agents"]
+                         if a["id"] not in gone_agents]
+        env["goals"] = [g for g in env["goals"] if g["id"] not in gone_goals]
+        for a in gone_agents:
+            del doc["lattices"]["agents"][a]
+        for g in gone_goals:
+            del doc["phase"]["goal_map"][g]
+        yield yaml.dump(doc, Dumper=DUMPER, sort_keys=False)
+
+
+def run_children(tmp_path, texts, children):
+    """Run every command on every text in child processes; the runs."""
     paths = []
-    for i in range(DOCUMENTS):
+    for i, text in enumerate(texts):
         path = tmp_path / f"fuzz-{i:03d}.yaml"
-        path.write_text(fuzzed_document(1000 + i), encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         paths.append(str(path))
-    children = [
+    procs = [
         subprocess.Popen([sys.executable, "-c", CHILD], env=child_env(),
                          stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                          stderr=subprocess.PIPE, text=True)
-        for _ in range(CHILDREN)]
-    outputs = [child.communicate(json.dumps(paths[i::CHILDREN]),
-                                 timeout=600)
-               for i, child in enumerate(children)]
-    runs, codes = [], set()
-    for child, (out, err) in zip(children, outputs):
-        assert child.returncode == 0, err[-2000:]
+        for _ in range(children)]
+    outputs = [proc.communicate(json.dumps(paths[i::children]), timeout=600)
+               for i, proc in enumerate(procs)]
+    runs = []
+    for proc, (out, err) in zip(procs, outputs):
+        assert proc.returncode == 0, err[-2000:]
         runs += [json.loads(line) for line in out.splitlines()]
-    assert len(runs) == DOCUMENTS * len(COMMANDS)
+    assert len(runs) == len(paths) * len(COMMANDS)
+    return runs
+
+
+def test_every_run_ends_in_a_plan_or_a_typed_error(tmp_path):
+    runs = run_children(
+        tmp_path, [fuzzed_document(1000 + i) for i in range(DOCUMENTS)],
+        CHILDREN)
+    codes = set()
     for run in runs:
         code, err = run["code"], run["stderr"]
         assert code in (0, 1, 2, 3), run
@@ -173,3 +206,10 @@ def test_every_run_ends_in_a_plan_or_a_typed_error(tmp_path):
             assert err.startswith("limit exceeded:"), run
         codes.add(code)
     assert codes == {0, 1, 2, 3}
+
+
+def test_paired_deletions_down_to_none_still_plan(tmp_path):
+    runs = run_children(tmp_path, list(paired_deletions()), 1)
+    assert len(runs) == 64 * len(COMMANDS)
+    for run in runs:
+        assert (run["code"], run["stderr"]) == (0, ""), run

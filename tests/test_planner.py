@@ -36,6 +36,7 @@ from latticeplan.planner import (
     LengthMismatch,
     MissingDesireVertex,
     PlannerError,
+    TooManyGoalSubsets,
     TooManySteps,
     UnknownGoalId,
     assign_agents,
@@ -364,6 +365,32 @@ class TestSelectIntentions:
         assert len(candidates) == 298 and len(evaluated) == 3 + 6 + 10
         assert len(set(evaluated)) == len(evaluated)
 
+    def test_goal_subsets_bounded_before_any_priority(self, monkeypatch):
+        """Six goals give 6 + 15 + 20 = 41 subsets of at most three: a
+        bound of 41 lists them, one of 40 refuses them before any priority
+        is evaluated."""
+        spec = system_spec()
+        goals = [f"g{i:02}" for i in range(6)]
+        facts = [spec.fact_of(b) for b in ("b1", "b2", "b3")]
+        spec = build_goal_lattice_spec(spec.phase, {
+            **spec.goal_map, **{g: facts[i % 3] for i, g in enumerate(goals)}})
+        monkeypatch.setattr(planner_module, "INTENTION_SUBSET_BOUND", 41)
+        assert select_intentions(spec, goals, movement_ids=MOVEMENT,
+                                 max_size=3)
+        evaluated = []
+
+        def spy(*args):
+            evaluated.append(args)
+            return process_priority(*args)
+
+        monkeypatch.setattr(planner_module, "process_priority", spy)
+        monkeypatch.setattr(planner_module, "INTENTION_SUBSET_BOUND", 40)
+        with pytest.raises(TooManyGoalSubsets) as info:
+            select_intentions(spec, goals, movement_ids=MOVEMENT, max_size=3)
+        assert isinstance(info.value, LimitExceeded)
+        assert str(info.value) == "41 goal subsets exceed the bound 40"
+        assert evaluated == []
+
     def test_subset_score_values(self):
         spec = system_spec()
         assert subset_score(spec, ["b1"]) == Fraction(1, 2)
@@ -431,6 +458,17 @@ class TestPlayReward:
         env = self.env_one_agent()
         with pytest.raises(PlannerError):
             play_reward(env, {"a": ()}, [], eq1_mode="nope")
+
+    def test_first_error_class_and_message(self):
+        """The mode is checked first, then the goal ids, then the play."""
+        env = self.env_one_agent()
+        with pytest.raises(PlannerError) as info:
+            play_reward(env, {}, ["nope"], eq1_mode="joint")
+        assert type(info.value) is PlannerError
+        assert str(info.value) == "unknown eq1 mode 'joint'"
+        with pytest.raises(UnknownGoalId) as info:
+            play_reward(env, {}, ["g", "nope"])
+        assert str(info.value) == "no goal 'nope' in the environment"
 
     def test_matches_frozenset_reward(self):
         """Seeded joint plays against the reward computed on frozensets,
@@ -559,6 +597,40 @@ class TestChoosePlay:
         env = self.one_agent_env()
         with pytest.raises(UnknownGoalId):
             choose_play(env, self.spec_for(env), ["nope"], 1)
+
+    def test_first_error_class_and_message(self):
+        """The mode is checked first, then the goal ids in the grid, then
+        in the goal map."""
+        env = self.one_agent_env()
+        spec = self.spec_for(env)
+        with pytest.raises(PlannerError) as info:
+            choose_play(env, spec, ["nope"], 1, eq1_mode="joint")
+        assert type(info.value) is PlannerError
+        assert str(info.value) == "unknown eq1 mode 'joint'"
+        with pytest.raises(UnknownGoalId) as info:
+            choose_play(env, spec, ["g", "nope"], 1)
+        assert str(info.value) == "no goal 'nope' in the environment"
+        unmapped = build_goal_lattice_spec(spec.phase, {"m": spec.fact_of("m")})
+        with pytest.raises(UnknownGoalId) as info:
+            choose_play(env, unmapped, ["g", "nope"], 1)
+        assert str(info.value) == "no goal 'nope' in the environment"
+        with pytest.raises(UnknownGoalId) as info:
+            choose_play(env, unmapped, ["g"], 1)
+        assert str(info.value) == "no goal lattice entry for 'g'"
+
+    @pytest.mark.parametrize("goals", [[], ["g"]])
+    def test_no_agents_get_the_one_empty_play(self, goals):
+        """The group of no agents is the tensor unit: one empty play, of
+        empty reward, in both modes."""
+        env = build_environment(3, 3, [], [],
+                                [GoalObject("g", (2, 1), (("far", 2),))])
+        for mode in EQ1_MODES:
+            out = choose_play(env, self.spec_for(env), goals, 2,
+                              eq1_mode=mode)
+            assert len(out) == 1 and out[0] == {}
+            assert out.reward == frozenset()
+            assert out == [{}]
+            assert play_reward(env, {}, goals, eq1_mode=mode) == frozenset()
 
     def test_matches_brute_force_on_small_instance(self):
         env = self.one_agent_env()
