@@ -16,12 +16,13 @@ per step, full re-planning after.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
-from math import comb, prod
+from math import comb, lcm, prod
 from operator import and_, itemgetter, or_
 from typing import Iterable, Mapping, Sequence
 
@@ -54,8 +55,8 @@ EQ1_MODES = ("per-goal", "positionwise")
 SIMULATE_STEP_BOUND = 10_000
 # `plan` on the walkthrough with extra visible goals mapped in turn onto the
 # facts of b1-b3 and no subset cap, one CLI process on Python 3.11: 84 goals
-# (98,854 subsets of at most three) took 2.4-2.7 s of CPU and 37.6 MB max
-# RSS, and 102 goals (176,953 subsets) 4.7 s and 51.8 MB.
+# (98,854 subsets of at most three) took 0.36-0.37 s of CPU and 36 MB max
+# RSS, and 102 goals (176,953 subsets, bound lifted) 0.50-0.76 s and 51 MB.
 INTENTION_SUBSET_BOUND = 100_000
 
 
@@ -314,6 +315,69 @@ class _Encoder:
             meet &= sig >> shift
         return sig >> self.scout_shift << self.width | meet
 
+    def maxima(self, tops: list) -> list:
+        """(combination, value) for each combination of the agents' lists
+        of signatures, in `product` order, whose value no other covers.
+
+        Combination i is bit i of a mask. `col[b]` marks the combinations
+        whose join holds bit b: for agent k's c-th signature, the
+        combinations with that member are a block of `stride` bits at
+        `c * stride`, repeated every `stride * n_k` bits. A value covers v
+        when it holds v's scout bits, which are its combination's members'
+        scout bits, and, in every slot, each bit of v's goal part (its low
+        `width` bits in every layout). So the AND of those columns marks
+        every combination whose value covers v, and v is maximal when it
+        marks no more than the combinations of value v itself.
+        """
+        joins = [0]
+        for sigs in tops:
+            joins = [j | s for j in joins for s in sigs]
+        values = list(map(self.value, joins))
+        n = len(values)
+        count = Counter(values)
+        # each value's first combination: later writes of a key win
+        first = dict(zip(reversed(values), range(n - 1, -1, -1)))
+        every = (1 << n) - 1
+        col: dict = {}  # signature bit -> combinations whose join holds it
+        strides = []
+        stride = n
+        for sigs in tops:
+            period, stride = stride, stride // len(sigs)
+            strides.append(stride)
+            base = ((1 << stride) - 1) * (every // ((1 << period) - 1))
+            for c, sig in enumerate(sigs):
+                mask = base << c * stride
+                while sig:
+                    bit = sig.bit_length() - 1
+                    col[bit] = col.get(bit, 0) | mask
+                    sig ^= 1 << bit
+
+        def marked(bits: int, shifts) -> int:
+            marks = every
+            while bits:
+                bit = bits.bit_length() - 1
+                for shift in shifts:
+                    marks &= col[shift + bit]
+                bits ^= 1 << bit
+            return marks
+
+        holds = [[marked(sig >> self.scout_shift, (self.scout_shift,))
+                  for sig in sigs] for sigs in tops]
+        cover: dict = {}  # goal part -> combinations that hold it
+        maxima = set()
+        goal_bits = (1 << self.width) - 1
+        for v, x in first.items():
+            goals = v & goal_bits
+            marks = cover.get(goals)
+            if marks is None:
+                marks = cover[goals] = marked(goals, self.shifts)
+            for h, stride, sigs in zip(holds, strides, tops):
+                marks &= h[x // stride % len(sigs)]
+            if marks.bit_count() == count[v]:
+                maxima.add(v)
+        return [(top, v) for top, v in zip(product(*tops), values)
+                if v in maxima]
+
     def decode(self, value: int) -> frozenset:
         scouts = value >> self.width
         return frozenset(
@@ -485,9 +549,13 @@ def choose_play(env: GridEnvironment, spec: GoalLatticeSpec,
     each dominated class replaced by one that dominates it, and finally
     by a non-dominated one. Every value thus lies below a value of the
     product of non-dominated classes, so the maximal values of the full
-    product are the maxima of that smaller product, which `_maximal`
-    finds. A dominated class can still tie a maximal value, so
-    every combination over all classes whose value is maximal is kept.
+    product are the maxima of that smaller product, which
+    `_Encoder.maxima` finds. A dominated class can still tie a maximal
+    value, so every combination over all classes whose value is maximal
+    is kept. Such a tie lies below its maximal combination member by
+    member, so by monotonicity each of its members, joined with the other
+    agents' tops, still has the maximal value; members that fail this are
+    dropped before their combinations are scored.
     The result is a lazy `MaximalPlays` over those combinations: joint
     plays (agent id to cells, start excluded) in lexicographic order of
     their interleaved move indices.
@@ -513,12 +581,17 @@ def choose_play(env: GridEnvironment, spec: GoalLatticeSpec,
 
     groups = [_by_dominance(list(classes)) for classes in per_agent]
     value = enc.value
-    values = {top: value(reduce(or_, top, 0)) for top in product(*groups)}
-    maxima = _maximal(values.values())
-    combos = [([classes[sig] for classes, sig in zip(per_agent, combo)], best)
-              for top, best in values.items() if best in maxima
-              for combo in product(*(g[sig] for g, sig in zip(groups, top)))
-              if value(reduce(or_, combo, 0)) == best]
+    combos = []
+    for top, best in enc.maxima([list(g) for g in groups]):
+        kept = []
+        for k, t in enumerate(top):
+            rest = reduce(or_, top[:k] + top[k + 1:], 0)
+            kept.append([s for s in groups[k][t]
+                         if s == t or value(s | rest) == best])
+        combos.extend(
+            ([classes[sig] for classes, sig in zip(per_agent, combo)], best)
+            for combo in product(*kept)
+            if combo == top or value(reduce(or_, combo, 0)) == best)
     return MaximalPlays([a.id for a in env.agents], combos, enc.decode)
 
 
@@ -631,13 +704,18 @@ def plan_once(env: GridEnvironment, spec: GoalLatticeSpec,
 
     cap = len(env.agents) if subset_cap is None \
         else min(subset_cap, len(env.agents))
-    ranked = select_intentions(
-        spec, [g for g in sorted(discovered) if filter_reachable(g)],
-        movement_ids=movement_ids, max_size=cap)
+    goals = [g for g in sorted(discovered) if filter_reachable(g)]
+    ranked = select_intentions(spec, goals, movement_ids=movement_ids,
+                               max_size=cap)
     tie_break = len(ranked) > 1
     if ranked:
+        # each goal's score once, as an int over the scores' common
+        # denominator, so that a subset's sum is exact and cheap
+        score = {g: subset_score(spec, (g,)) for g in goals}
+        scale = lcm(*(s.denominator for s in score.values()))
+        score = {g: int(s * scale) for g, s in score.items()}
         chosen, priority = min(ranked, key=lambda cp: (
-            -subset_score(spec, cp[0]), len(cp[0]), cp[0]))
+            -sum(score[g] for g in cp[0]), len(cp[0]), cp[0]))
     else:
         chosen, priority = (), process_priority(spec, movement_ids, ())
 

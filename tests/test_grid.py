@@ -247,6 +247,32 @@ class TestObservedCells:
         assert observed_cells(env, (0, 0), 5) == {
             (c, r) for c in range(3) for r in range(3)}
 
+    def test_matches_a_line_of_sight_scan(self):
+        """Random grids up to 20x20 and 1x1 grids, from every corner and
+        some inner cells, horizons 0-16: every in-bounds cell within the
+        horizon that `line_of_sight` reaches, and no other."""
+        for seed in range(48):
+            rng = random.Random(seed)
+            width, height = (1, 1) if seed % 8 == 0 else (
+                rng.randint(1, 20), rng.randint(1, 20))
+            cells = [(c, r) for c in range(width) for r in range(height)]
+            density = rng.choice([0.0, 0.1, 0.3, 0.6])
+            env = make_env(width, height,
+                           [cell for cell in cells if rng.random() < density])
+            corners = [(0, 0), (width - 1, 0), (0, height - 1),
+                       (width - 1, height - 1)]
+            for i, position in enumerate(
+                    corners + rng.sample(cells, min(4, len(cells)))):
+                horizons = [0, 1, HORIZON_BOUND] if i == 0 \
+                    else [rng.randint(0, HORIZON_BOUND)]
+                for horizon in horizons:
+                    expected = {
+                        cell for cell in cells
+                        if chebyshev(position, cell) <= horizon
+                        and line_of_sight(env, position, cell)}
+                    assert observed_cells(env, position, horizon) \
+                        == expected, (seed, position, horizon)
+
     def test_scout_feature_name(self):
         assert scout_feature((4, 2)) == "scout:4,2"
 

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
+from math import prod
 from operator import or_
 
 import pytest
@@ -669,6 +670,35 @@ class TestMaximal:
         assert planner_module._maximal([]) == set()
 
 
+class TestColumnMaxima:
+    def test_matches_maximal_over_the_flat_product(self):
+        """Seeded signatures for 0-3 agents and 0-2 slots in both layouts,
+        with duplicates and zeros, against `_maximal` over the value of
+        every combination, kept in `product` order."""
+        names = ["f0", "f1", "f2"]
+        for seed in range(240):
+            rng = random.Random(seed)
+            goals = [GoalObject(f"g{i}", (0, 0),
+                                tuple((name, 1) for name in rng.sample(
+                                    names, rng.randint(1, 3))))
+                     for i in range(rng.randint(0, 2))]
+            env = build_environment(1, 1, [], [], goals)
+            enc = planner_module._Encoder(env, [g.id for g in goals],
+                                          EQ1_MODES[seed % 2], frozenset())
+            bound = 1 << enc.scout_shift + rng.randint(0, 4)
+            tops = []
+            for _ in range(rng.randint(0, 3)):
+                sigs = [rng.randrange(bound) for _ in range(rng.randint(1, 5))]
+                sigs += rng.sample(sigs, len(sigs) // 2) + [0] * (seed % 3 // 2)
+                tops.append(sigs)
+            values = [enc.value(reduce(or_, combo, 0))
+                      for combo in product(*tops)]
+            best = planner_module._maximal(values)
+            assert enc.maxima(tops) == [
+                (combo, v) for combo, v in zip(product(*tops), values)
+                if v in best], seed
+
+
 def brute_force_plays(env, goal_ids, depth, eq1_mode, scouted=None):
     """Maximal plays by scoring every joint play with play_reward."""
     per_agent = []
@@ -834,6 +864,96 @@ class TestChoosePlayOracleDepthThree:
                     ties += any(play[aid] in paths for play in expected
                                 for aid, paths in dominated.items())
         assert ties > 0
+
+    def test_each_tie_candidate_scored_once(self, monkeypatch):
+        """After the column maxima, `value` runs once per member of a
+        maximal combination's classes other than its top (the tie filter),
+        and once per other combination of the kept members; the maximal
+        combination itself is not scored again."""
+        value, maxima, by_dominance = (planner_module._Encoder.value,
+                                       planner_module._Encoder.maxima,
+                                       planner_module._by_dominance)
+        calls, found, groups = [], [], []
+
+        def spy_maxima(enc, tops):
+            found.append((enc, maxima(enc, tops)))
+            calls.clear()
+            return found[-1][1]
+
+        def spy_by_dominance(signatures):
+            groups.append(by_dominance(signatures))
+            return groups[-1]
+
+        monkeypatch.setattr(planner_module._Encoder, "value",
+                            lambda enc, sig: calls.append(sig) or value(enc, sig))
+        monkeypatch.setattr(planner_module._Encoder, "maxima", spy_maxima)
+        monkeypatch.setattr(planner_module, "_by_dominance", spy_by_dominance)
+        spec = system_spec()
+        dropped = 0
+        for k in range(12):
+            rng = random.Random(9300 + k)
+            env = random_small_grid(rng)
+            goals = rng.sample(["b1", "b2"], rng.randint(1, 2))
+            for mode in EQ1_MODES:
+                found.clear()
+                groups.clear()
+                choose_play(env, spec, goals, 3, eq1_mode=mode)
+                scored = len(calls)
+                (enc, tops), = found
+                expected = 0
+                for top, best in tops:
+                    kept = []
+                    for i, t in enumerate(top):
+                        rest = reduce(or_, top[:i] + top[i + 1:], 0)
+                        members = groups[i][t]
+                        kept.append([s for s in members if s == t
+                                     or value(enc, s | rest) == best])
+                        dropped += len(members) - len(kept[-1])
+                        expected += len(members) - 1
+                    expected += prod(map(len, kept)) - 1
+                assert scored == expected, (k, mode)
+        assert dropped > 0
+
+
+def reference_kernel(env, goal_ids, depth, eq1_mode):
+    """The joint search without the column maxima or the tie filter: every
+    combination of non-dominated classes valued, `_maximal` over those
+    values, and every member combination of a maximal one scored."""
+    enc = planner_module._Encoder(env, goal_ids, eq1_mode, None)
+    per_agent = []
+    for i, a in enumerate(env.agents):
+        classes = {}
+        for cells, idxs in grid.agent_paths(env, a.position, depth)[-1]:
+            classes.setdefault(enc.signature(a, frozenset(cells)), []).append(
+                (cells[1:], planner_module._share(idxs, i, len(env.agents))))
+        per_agent.append(classes)
+    groups = [planner_module._by_dominance(list(c)) for c in per_agent]
+    values = {top: enc.value(reduce(or_, top, 0)) for top in product(*groups)}
+    maxima = planner_module._maximal(values.values())
+    combos = [([c[sig] for c, sig in zip(per_agent, combo)], best)
+              for top, best in values.items() if best in maxima
+              for combo in product(*(g[sig] for g, sig in zip(groups, top)))
+              if enc.value(reduce(or_, combo, 0)) == best]
+    return planner_module.MaximalPlays([a.id for a in env.agents], combos,
+                                       enc.decode)
+
+
+class TestChoosePlayDepthFour:
+    def test_three_agents_on_an_open_grid_match_the_reference(self):
+        feats = (("far", 3), ("mid", 2), ("near", 1))
+        agents = [AgentState("agent-1", (4, 4), 1, "a1"),
+                  AgentState("agent-2", (5, 4), 1, "a2"),
+                  AgentState("agent-3", (4, 5), 1, "a3")]
+        goals = [GoalObject("b1", (0, 8), feats),
+                 GoalObject("b2", (8, 0), feats)]
+        for mode in EQ1_MODES:
+            expected = reference_kernel(build_environment(9, 9, [], agents, goals),
+                                     ["b1", "b2"], 4, mode)
+            got = choose_play(build_environment(9, 9, [], agents, goals),
+                              system_spec(), ["b1", "b2"], 4, eq1_mode=mode)
+            assert len(got) == len(expected) <= 5000, mode
+            assert got[0] == expected[0] and got.reward == expected.reward
+            assert list(got) == list(expected), mode
 
 
 def replay(env, start, idxs):
@@ -1142,6 +1262,44 @@ class TestPlanOnce:
                          depth=0, subset_cap=2)
         assert plan.tie_break
         assert plan.chosen_goals == ("g1",)
+
+    def test_tie_break_matches_the_per_subset_score(self):
+        """Up to 14 goals on three facts, so many maximal subsets tie on
+        priority and score: summing one score per goal picks the subset
+        that scoring each subset picked."""
+        phase = union_phase()
+        facts = [phase.subset(["e", "u"]), phase.subset(["e", "v"]),
+                 phase.subset(["u", "v"])]
+        env = walkthrough_env()
+        free = [(c, r) for c in range(7) for r in range(7)
+                if (c, r) not in env.obstacles]
+        tied = 0
+        for seed in range(24):
+            rng = random.Random(seed)
+            ids = [f"g{i:02}" for i in range(rng.randint(2, 14))]
+            spec = build_goal_lattice_spec(phase, {
+                **{g: rng.choice(facts) for g in ids},
+                **{m: phase.i_fact for m in MOVEMENT}}, SYSTEM_NAMES)
+            goals = [GoalObject(g, rng.choice(free), (("f", 1),)) for g in ids]
+            lat = verify_poset(["0", *ids, "1"],
+                               [("0", g) for g in ids] + [(g, "1") for g in ids],
+                               covers=True, generators=ids)
+            desires = {a.id: build_desire_lattice(lat, ids, "1")
+                       for a in env.agents}
+            discovered = rng.sample(ids, rng.randint(1, len(ids)))
+            cap = rng.randint(1, 3)
+            ranked = select_intentions(spec, discovered, movement_ids=MOVEMENT,
+                                       max_size=cap)
+            scores = [subset_score(spec, combo) for combo, _ in ranked]
+            tied += scores.count(max(scores)) > 1
+            chosen, priority = min(ranked, key=lambda cp: (
+                -subset_score(spec, cp[0]), len(cp[0]), cp[0]))
+            plan = plan_once(
+                build_environment(7, 7, env.obstacles, env.agents, goals),
+                spec, desires, discovered=discovered, depth=0, subset_cap=cap)
+            assert plan.chosen_goals == chosen, seed
+            assert plan.priority_value.members == priority.members, seed
+        assert tied > 12
 
     def test_walkthrough_depth_three(self):
         env = walkthrough_env()
