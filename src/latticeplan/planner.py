@@ -5,9 +5,11 @@ Priorities of goal subsets are evaluated in the system phase space as
 goals' facts. Joint plays are scored in the reward lattice, which sees
 each agent's path only through a signature of its visited cells packed
 into one int, so join, cover and reward are single int operations. The
-exact search finds the maximal rewards over the classes of signatures
-that no other class covers, keeps every class combination that reaches
-one, and returns the plays of those combinations as a lazy sequence,
+exact search builds each agent's classes of equal signature in one pass
+over (cell, signature) states, finds the maximal rewards over the classes
+that no other class covers with per-bit columns over their product, picks
+the dominated classes that may tie them from per-agent columns, and
+returns the plays of the maximal combinations as a lazy sequence,
 expanded only when read past its first play, whose reward it carries.
 Ties between agents break on desire-lattice vertex weights, then on
 agent order. The simulation loop is receding-horizon: one committed move
@@ -20,7 +22,7 @@ from collections import Counter
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations, product
 from math import comb, lcm, prod
 from operator import and_, itemgetter, or_
@@ -315,42 +317,72 @@ class _Encoder:
             meet &= sig >> shift
         return sig >> self.scout_shift << self.width | meet
 
-    def maxima(self, tops: list) -> list:
-        """(combination, value) for each combination of the agents' lists
-        of signatures, in `product` order, whose value no other covers.
+    def maxima(self, groups: list) -> tuple:
+        """The maximal combinations of the agents' tops, and their ties.
 
-        Combination i is bit i of a mask. `col[b]` marks the combinations
-        whose join holds bit b: for agent k's c-th signature, the
-        combinations with that member are a block of `stride` bits at
-        `c * stride`, repeated every `stride * n_k` bits. A value covers v
-        when it holds v's scout bits, which are its combination's members'
-        scout bits, and, in every slot, each bit of v's goal part (its low
+        `groups[k]` lists agent k's member lists, each headed by its top
+        signature. `found` holds (combination, value) for each combination
+        of tops, in `product` order, whose value no other covers. `ties`
+        maps such a combination to (kept, value) when some member ties it:
+        per agent, the top and then the members of its list, in list
+        order, whose join with the other agents' tops still has that value.
+
+        Combination i is bit i of a mask. `column(k, b)` marks the
+        combinations whose k-th top holds bit b: for its c-th top, a block
+        of `stride` bits at `c * stride`, repeated every `stride * n_k`
+        bits. `col[b]` is their OR over the agents. Only `col` is kept, one
+        mask per bit; a single agent's column is built again from its
+        `holders` where the tie test below needs it. A value covers v when
+        it holds v's scout bits, which are its combination's members' scout
+        bits, and, in every slot, each bit of v's goal part (its low
         `width` bits in every layout). So the AND of those columns marks
         every combination whose value covers v, and v is maximal when it
-        marks no more than the combinations of value v itself.
+        marks no more than the combinations of value v itself; those marks
+        are then exactly the combinations of value v, and `maximal` is
+        their OR.
+
+        A value's scout part is its join's scout bits. So a member that
+        lacks a scout bit which its top holds and no other agent's top
+        holds loses that bit from the value, and cannot tie. A member's
+        candidates are thus the maximal combinations of its top, ANDed
+        with the OR of the other agents' columns of each such bit, and
+        only they are scored. With one slot or none, `value` is the
+        signature itself, so every bit counts and the test is exact.
         """
+        tops = [[members[0] for members in gs] for gs in groups]
         joins = [0]
         for sigs in tops:
             joins = [j | s for j in joins for s in sigs]
         values = list(map(self.value, joins))
         n = len(values)
         count = Counter(values)
-        # each value's first combination: later writes of a key win
-        first = dict(zip(reversed(values), range(n - 1, -1, -1)))
         every = (1 << n) - 1
-        col: dict = {}  # signature bit -> combinations whose join holds it
-        strides = []
+        bases, strides = [], []  # per agent: its first top's combinations
         stride = n
         for sigs in tops:
             period, stride = stride, stride // len(sigs)
             strides.append(stride)
-            base = ((1 << stride) - 1) * (every // ((1 << period) - 1))
+            bases.append(((1 << stride) - 1) * (every // ((1 << period) - 1)))
+        col: dict = {}  # signature bit -> combinations whose join holds it
+        holders: list = []  # per agent: signature bit -> its tops holding it
+        for sigs, base, stride in zip(tops, bases, strides):
+            holders.append(holding := {})
             for c, sig in enumerate(sigs):
                 mask = base << c * stride
                 while sig:
                     bit = sig.bit_length() - 1
                     col[bit] = col.get(bit, 0) | mask
+                    holding[bit] = holding.get(bit, 0) | 1 << c
                     sig ^= 1 << bit
+
+        def column(k: int, bit: int) -> int:
+            """The combinations whose k-th top holds the bit."""
+            marks, held = 0, holders[k].get(bit, 0)
+            while held:
+                c = held.bit_length() - 1
+                marks |= bases[k] << c * strides[k]
+                held ^= 1 << c
+            return marks
 
         def marked(bits: int, shifts) -> int:
             marks = every
@@ -364,19 +396,51 @@ class _Encoder:
         holds = [[marked(sig >> self.scout_shift, (self.scout_shift,))
                   for sig in sigs] for sigs in tops]
         cover: dict = {}  # goal part -> combinations that hold it
-        maxima = set()
+        best = set()
+        maximal = 0
         goal_bits = (1 << self.width) - 1
-        for v, x in first.items():
+        # every combination of one value holds exactly its scout bits, so
+        # any one of them gives the value's scout columns
+        for v, hs in dict(zip(values, product(*holds))).items():
             goals = v & goal_bits
             marks = cover.get(goals)
             if marks is None:
                 marks = cover[goals] = marked(goals, self.shifts)
-            for h, stride, sigs in zip(holds, strides, tops):
-                marks &= h[x // stride % len(sigs)]
+            for h in hs:
+                marks &= h
             if marks.bit_count() == count[v]:
-                maxima.add(v)
-        return [(top, v) for top, v in zip(product(*tops), values)
-                if v in maxima]
+                best.add(v)
+                maximal |= marks
+
+        found = [(top, v) for top, v in zip(product(*tops), values)
+                 if v in best]
+        ties: dict = {}  # maximal combination -> (kept, value)
+        tested = ~0 if len(self.shifts) < 2 else -1 << self.scout_shift
+        for k, gs in enumerate(groups):
+            others: dict = {}  # bit -> where another agent's top holds it
+            for c, members in enumerate(gs):
+                t, block = members[0], (bases[k] << c * strides[k]) & maximal
+                for s in members[1:] if block else ():
+                    candidates, lack = block, t & ~s & tested
+                    while lack and candidates:
+                        bit = lack.bit_length() - 1
+                        other = others.get(bit)
+                        if other is None:
+                            other = others[bit] = reduce(or_, (
+                                column(j, bit) for j in range(len(tops))
+                                if j != k), 0)
+                        candidates &= other
+                        lack ^= 1 << bit
+                    while candidates:
+                        i = candidates.bit_length() - 1
+                        candidates ^= 1 << i
+                        top = tuple(sigs[i // stride % len(sigs)]
+                                    for sigs, stride in zip(tops, strides))
+                        if self.value(s | reduce(or_, top[:k] + top[k + 1:],
+                                                 0)) == values[i]:
+                            ties.setdefault(top, ([[m] for m in top],
+                                                  values[i]))[0][k].append(s)
+        return found, ties
 
     def decode(self, value: int) -> frozenset:
         scouts = value >> self.width
@@ -416,12 +480,13 @@ def _by_dominance(signatures: list) -> dict:
     A signature is dominated when another one covers it. Covering is a
     strict order on distinct signatures, so some non-dominated one covers
     each dominated one; it goes to the first such, in the given order. A
-    non-dominated signature stands for itself.
+    non-dominated signature heads its own group, as no other covers it.
     """
     tops = _maximal(signatures)
-    groups: dict = {s: [] for s in signatures if s in tops}
+    groups: dict = {s: [s] for s in signatures if s in tops}
     for s in signatures:
-        groups[next(t for t in groups if s | t == t)].append(s)
+        if s not in tops:
+            groups[next(t for t in groups if s | t == t)].append(s)
     return groups
 
 
@@ -464,17 +529,108 @@ def check_step_bound(max_steps: int) -> None:
                            f" {SIMULATE_STEP_BOUND}")
 
 
-def _share(idxs, agent: int, agents: int) -> int:
-    """One agent's part of a joint play's order key.
+class _Class(SequenceABC):
+    """One agent's paths of one signature: read-only (cells after the
+    start, share) pairs in share order.
+
+    `len` and `[0]` come from the final states of that signature; any
+    other read lists the members from the layers once and keeps them.
+    """
+
+    def __init__(self, size: int, first: tuple, listing):
+        self._len, self._first, self._listing = size, first, listing
+        self._members: list | None = None
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        if index == 0:
+            return self._first
+        return self._listed()[index]
+
+    def __iter__(self):
+        return iter(self._listed())
+
+    def _listed(self) -> list:
+        if self._members is None:
+            self._members = self._listing()
+        return self._members
+
+
+def _agent_classes(enc: _Encoder, agent, depth: int, base: int,
+                   scale: int) -> dict:
+    """An agent's paths of `depth` steps, by signature, as lazy `_Class`es.
 
     Plays are ordered by their interleaved move indices: each step's
     indices in agent order. Read as base-5 digits (a move index is 0-4),
-    that sequence is a number, the sum of the agents' shares.
+    that sequence is a number, the sum of the agents' shares: an agent's
+    share is its moves read as digits of `base` (5 to the agent count),
+    times `scale` (5 to the count of agents after it).
+
+    The pass goes layer by layer over states (last cell, signature), as a
+    step's signature is the join of the state's and the target cell's. A
+    state keeps its path count, its smallest path with that path's share
+    before `scale`, and its predecessors as (state, move index) pairs.
+    Each layer lists its states in order of their smallest paths: by
+    induction, the next layer's states arrive in that order, as their
+    first arrivals extend the smallest paths in order, move by move. So a
+    state's first arrival is its smallest path, and a class's first final
+    state holds the class's first member.
     """
-    share = 0
-    for move in idxs:
-        share = share * 5 ** agents + move
-    return share * 5 ** (agents - 1 - agent)
+    position, horizon = tuple(agent.position), agent.horizon
+    steps: dict = {}  # cell -> its signature
+    layers = [{(position, enc._cell(position, horizon)): [1, 0, (position,),
+                                                          ()]}]
+    for _ in range(depth):
+        layer: dict = {}
+        for state, (count, share, cells, _) in layers[-1].items():
+            cell, sig = state
+            share *= base
+            for move, target in enumerate(grid.agent_moves(enc.env, cell)):
+                step = steps.get(target)
+                if step is None:
+                    step = steps[target] = enc._cell(target, horizon)
+                key = target, sig | step
+                into = layer.get(key)
+                if into is None:
+                    layer[key] = [count, share + move, cells + (target,),
+                                  [(state, move)]]
+                else:
+                    into[0] += count
+                    into[3].append((state, move))
+        layers.append(layer)
+
+    paths: dict = {}  # (layer, state) -> [(cells, share before scale)]
+
+    def paths_into(d: int, state) -> list:
+        out = paths.get((d, state))
+        if out is None:
+            if d == 0:
+                out = [((position,), 0)]
+            else:
+                out = [(cells + (state[0],), share * base + move)
+                       for pred, move in layers[d][state][3]
+                       for cells, share in paths_into(d - 1, pred)]
+            paths[d, state] = out
+        return out
+
+    def members(states: list) -> list:
+        out = [(cells[1:], share * scale) for state in states
+               for cells, share in paths_into(depth, state)]
+        out.sort(key=itemgetter(1))
+        return out
+
+    finals: dict = {}  # signature -> [path count, first member, states]
+    for state, (count, share, cells, _) in layers[-1].items():
+        final = finals.get(state[1])
+        if final is None:
+            finals[state[1]] = [count, (cells[1:], share * scale), [state]]
+        else:
+            final[0] += count
+            final[2].append(state)
+    return {sig: _Class(count, first, partial(members, states))
+            for sig, (count, first, states) in finals.items()}
 
 
 def _expand_plays(agent_ids: tuple, combos: list) -> list:
@@ -492,13 +648,14 @@ class MaximalPlays(SequenceABC):
     """Read-only sequence of the reward-maximal joint plays, in order.
 
     It holds the maximal class combinations, each a list of per-agent
-    member lists of (cells, `_share`), sorted by share, and its value.
-    `len` sums the products of the member counts. `[0]` needs no
-    expansion: a play's key is the sum of its agents' shares, so the
-    smallest play of a product of per-agent path sets joins each agent's
-    own smallest path, and `[0]` is the least combination of first
-    members, found up front; `reward` is its decoded value. Any other
-    read expands and sorts every play once and keeps the list.
+    member sequences of (cells, share), sorted by share (see
+    `_agent_classes`), and its value. `len` sums the products of the
+    member counts. `[0]` needs no expansion: a play's key is the sum of
+    its agents' shares, so the smallest play of a product of per-agent
+    path sets joins each agent's own smallest path, and `[0]` is the least
+    combination of first members, found up front; `reward` is its decoded
+    value. So only the members' `len` and `[0]` are read up front. Any
+    other read expands and sorts every play once and keeps the list.
     """
 
     def __init__(self, agent_ids, combos: list, decode):
@@ -506,10 +663,9 @@ class MaximalPlays(SequenceABC):
         self._combos = combos
         self._len = sum(prod(map(len, members)) for members, _ in combos)
         self._plays: list | None = None
-        firsts, value = min(
-            (([m[0] for m in members], value) for members, value in combos),
-            key=lambda first: sum(share for _, share in first[0]))
-        self._first = dict(zip(self._agent_ids, (c for c, _ in firsts)))
+        members, value = min(combos, key=lambda combo: sum(
+            [m[0][1] for m in combo[0]]))
+        self._first = dict(zip(self._agent_ids, (m[0][0] for m in members)))
         self.reward: frozenset = decode(value)
 
     def __len__(self) -> int:
@@ -540,22 +696,23 @@ def choose_play(env: GridEnvironment, spec: GoalLatticeSpec,
                 scouted: frozenset | None = None) -> MaximalPlays:
     """Every reward-maximal joint play of the given depth, exactly.
 
-    Each agent's paths are grouped into classes of equal signature,
-    computed once per set of visited cells, and a class combination is
-    scored as the `value` of the join of its signatures. A class is
-    dominated when another class of the same agent covers it, scouted
-    features and every goal view. Join and `value` are monotone, so a
-    combination's value lies at or below that of the combination with
-    each dominated class replaced by one that dominates it, and finally
-    by a non-dominated one. Every value thus lies below a value of the
-    product of non-dominated classes, so the maximal values of the full
-    product are the maxima of that smaller product, which
+    Each agent's paths are grouped into classes of equal signature by one
+    pass over (cell, signature) states (`_agent_classes`), and a class
+    combination is scored as the `value` of the join of its signatures. A
+    class is dominated when another class of the same agent covers it,
+    scouted features and every goal view. Join and `value` are monotone,
+    so a combination's value lies at or below that of the combination
+    with each dominated class replaced by one that dominates it, and
+    finally by a non-dominated one. Every value thus lies below a value of
+    the product of non-dominated classes, so the maximal values of the
+    full product are the maxima of that smaller product, which
     `_Encoder.maxima` finds. A dominated class can still tie a maximal
     value, so every combination over all classes whose value is maximal
     is kept. Such a tie lies below its maximal combination member by
     member, so by monotonicity each of its members, joined with the other
-    agents' tops, still has the maximal value; members that fail this are
-    dropped before their combinations are scored.
+    agents' tops, still has the maximal value. `_Encoder.maxima` keeps
+    only the members that pass this, testing just the candidates its
+    columns leave, and only combinations of kept members are scored.
     The result is a lazy `MaximalPlays` over those combinations: joint
     plays (agent id to cells, start excluded) in lexicographic order of
     their interleaved move indices.
@@ -565,33 +722,22 @@ def choose_play(env: GridEnvironment, spec: GoalLatticeSpec,
     for g in chosen_goals:
         spec.fact_of(g)
 
-    per_agent = []
-    for i, a in enumerate(env.agents):
-        paths = grid.agent_paths(env, a.position, depth)[-1]
-        by_visited: dict = {}
-        classes: dict = {}
-        for cells, idxs in paths:
-            visited = frozenset(cells)
-            sig = by_visited.get(visited)
-            if sig is None:
-                sig = by_visited[visited] = enc.signature(a, visited)
-            classes.setdefault(sig, []).append(
-                (cells[1:], _share(idxs, i, len(env.agents))))
-        per_agent.append(classes)
-
+    n = len(env.agents)
+    per_agent = [_agent_classes(enc, a, depth, 5 ** n, 5 ** (n - 1 - i))
+                 for i, a in enumerate(env.agents)]
     groups = [_by_dominance(list(classes)) for classes in per_agent]
+    found, ties = enc.maxima([list(g.values()) for g in groups])
     value = enc.value
-    combos = []
-    for top, best in enc.maxima([list(g) for g in groups]):
-        kept = []
-        for k, t in enumerate(top):
-            rest = reduce(or_, top[:k] + top[k + 1:], 0)
-            kept.append([s for s in groups[k][t]
-                         if s == t or value(s | rest) == best])
-        combos.extend(
-            ([classes[sig] for classes, sig in zip(per_agent, combo)], best)
-            for combo in product(*kept)
-            if combo == top or value(reduce(or_, combo, 0)) == best)
+
+    def members(combo) -> list:
+        return [classes[sig] for classes, sig in zip(per_agent, combo)]
+
+    combos = [(members(top), best) for top, best in found]
+    for kept, best in ties.values():
+        others = product(*kept)
+        next(others)  # the maximal combination itself, already in found
+        combos.extend((members(combo), best) for combo in others
+                      if value(reduce(or_, combo, 0)) == best)
     return MaximalPlays([a.id for a in env.agents], combos, enc.decode)
 
 

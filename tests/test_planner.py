@@ -670,21 +670,26 @@ class TestMaximal:
         assert planner_module._maximal([]) == set()
 
 
+def random_encoder(rng, mode):
+    """An encoder of 0-2 goals over three features on a 1x1 grid."""
+    names = ["f0", "f1", "f2"]
+    goals = [GoalObject(f"g{i}", (0, 0),
+                        tuple((name, 1) for name in rng.sample(
+                            names, rng.randint(1, 3))))
+             for i in range(rng.randint(0, 2))]
+    env = build_environment(1, 1, [], [], goals)
+    return planner_module._Encoder(env, [g.id for g in goals], mode,
+                                   frozenset())
+
+
 class TestColumnMaxima:
     def test_matches_maximal_over_the_flat_product(self):
         """Seeded signatures for 0-3 agents and 0-2 slots in both layouts,
         with duplicates and zeros, against `_maximal` over the value of
         every combination, kept in `product` order."""
-        names = ["f0", "f1", "f2"]
         for seed in range(240):
             rng = random.Random(seed)
-            goals = [GoalObject(f"g{i}", (0, 0),
-                                tuple((name, 1) for name in rng.sample(
-                                    names, rng.randint(1, 3))))
-                     for i in range(rng.randint(0, 2))]
-            env = build_environment(1, 1, [], [], goals)
-            enc = planner_module._Encoder(env, [g.id for g in goals],
-                                          EQ1_MODES[seed % 2], frozenset())
+            enc = random_encoder(rng, EQ1_MODES[seed % 2])
             bound = 1 << enc.scout_shift + rng.randint(0, 4)
             tops = []
             for _ in range(rng.randint(0, 3)):
@@ -694,9 +699,54 @@ class TestColumnMaxima:
             values = [enc.value(reduce(or_, combo, 0))
                       for combo in product(*tops)]
             best = planner_module._maximal(values)
-            assert enc.maxima(tops) == [
+            found, ties = enc.maxima([[[s] for s in sigs] for sigs in tops])
+            assert found == [
                 (combo, v) for combo, v in zip(product(*tops), values)
                 if v in best], seed
+            assert ties == {}, seed
+
+
+def filtered_members(enc, groups, found):
+    """Per maximal combination, the members that the per-member `value`
+    scan keeps: the top, and each member whose join with the other
+    agents' tops has the combination's value."""
+    out = {}
+    for top, best in found:
+        kept = []
+        for k, t in enumerate(top):
+            rest = reduce(or_, top[:k] + top[k + 1:], 0)
+            members = next(m for m in groups[k] if m[0] == t)
+            kept.append([s for s in members
+                         if s == t or enc.value(s | rest) == best])
+        out[top] = kept
+    return out
+
+
+class TestTieCandidates:
+    def test_kept_members_match_the_per_member_scan(self):
+        """Seeded tops with dominated members for 1-3 agents, in both
+        layouts: two or more goal slots (the columns are a prefilter) and
+        one slot or none (they are exact)."""
+        tied = {True: 0, False: 0}
+        for seed in range(300):
+            rng = random.Random(seed)
+            enc = random_encoder(rng, EQ1_MODES[seed % 2])
+            bound = 1 << enc.scout_shift + rng.randint(1, 4)
+            groups = []
+            for _ in range(rng.randint(1, 3)):
+                tops = rng.sample(range(1, bound), min(rng.randint(1, 4),
+                                                       bound - 1))
+                groups.append([[t] + sorted({t & rng.randrange(bound)
+                                             for _ in range(4)} - {t})
+                               for t in tops])
+            found, ties = enc.maxima(groups)
+            expected = filtered_members(enc, groups, found)
+            for top, best in found:
+                kept, value = ties.get(top, ([[t] for t in top], best))
+                assert value == best and kept == expected[top], seed
+            assert all(top in expected for top in ties), seed
+            tied[len(enc.shifts) > 1] += len(ties)
+        assert tied[True] > 0 and tied[False] > 0, tied
 
 
 def brute_force_plays(env, goal_ids, depth, eq1_mode, scouted=None):
@@ -866,67 +916,83 @@ class TestChoosePlayOracleDepthThree:
         assert ties > 0
 
     def test_each_tie_candidate_scored_once(self, monkeypatch):
-        """After the column maxima, `value` runs once per member of a
-        maximal combination's classes other than its top (the tie filter),
-        and once per other combination of the kept members; the maximal
-        combination itself is not scored again."""
-        value, maxima, by_dominance = (planner_module._Encoder.value,
-                                       planner_module._Encoder.maxima,
-                                       planner_module._by_dominance)
-        calls, found, groups = [], [], []
+        """`value` runs once per combination of tops (the maxima), once
+        per column candidate, and once per other combination of the kept
+        members; the maximal combination itself is not scored again. A
+        member is a column candidate of a maximal combination when each
+        bit its top holds and it lacks is held by another agent's top in
+        the combination, counting scout bits only with two or more goal
+        slots."""
+        value, maxima = (planner_module._Encoder.value,
+                         planner_module._Encoder.maxima)
+        calls, found = [], []
 
-        def spy_maxima(enc, tops):
-            found.append((enc, maxima(enc, tops)))
+        def spy_maxima(enc, groups):
             calls.clear()
-            return found[-1][1]
-
-        def spy_by_dominance(signatures):
-            groups.append(by_dominance(signatures))
-            return groups[-1]
+            found.append((enc, groups, maxima(enc, groups)))
+            return found[-1][2]
 
         monkeypatch.setattr(planner_module._Encoder, "value",
                             lambda enc, sig: calls.append(sig) or value(enc, sig))
         monkeypatch.setattr(planner_module._Encoder, "maxima", spy_maxima)
-        monkeypatch.setattr(planner_module, "_by_dominance", spy_by_dominance)
         spec = system_spec()
-        dropped = 0
+        rejected = tied = 0
         for k in range(12):
             rng = random.Random(9300 + k)
             env = random_small_grid(rng)
             goals = rng.sample(["b1", "b2"], rng.randint(1, 2))
             for mode in EQ1_MODES:
                 found.clear()
-                groups.clear()
                 choose_play(env, spec, goals, 3, eq1_mode=mode)
                 scored = len(calls)
-                (enc, tops), = found
-                expected = 0
-                for top, best in tops:
-                    kept = []
+                (enc, groups, (maximal, ties)), = found
+                tested = ~0 if len(enc.shifts) < 2 else -1 << enc.scout_shift
+                expected = prod(map(len, groups))
+                for top, _ in maximal:
                     for i, t in enumerate(top):
                         rest = reduce(or_, top[:i] + top[i + 1:], 0)
-                        members = groups[i][t]
-                        kept.append([s for s in members if s == t
-                                     or value(enc, s | rest) == best])
-                        dropped += len(members) - len(kept[-1])
-                        expected += len(members) - 1
+                        members = next(m for m in groups[i] if m[0] == t)
+                        for s in members[1:]:
+                            candidate = t & ~s & tested & ~rest == 0
+                            expected += candidate
+                            rejected += not candidate
+                for kept, _ in ties.values():
                     expected += prod(map(len, kept)) - 1
+                    tied += 1
                 assert scored == expected, (k, mode)
-        assert dropped > 0
+        assert rejected > 0 and tied > 0
+
+
+def share(idxs, agent, agents):
+    """One agent's part of a joint play's order key: the play's
+    interleaved move indices, each step's in agent order, read as base-5
+    digits, are the sum of the agents' shares."""
+    out = 0
+    for move in idxs:
+        out = out * 5 ** agents + move
+    return out * 5 ** (agents - 1 - agent)
+
+
+def listed_classes(enc, env, i, depth):
+    """Agent i's classes by listing every path with `agent_paths`, one
+    signature per visited set: signature -> [(cells after the start,
+    share)] in share order."""
+    a = env.agents[i]
+    classes = {}
+    for cells, idxs in grid.agent_paths(env, a.position, depth)[-1]:
+        classes.setdefault(enc.signature(a, frozenset(cells)), []).append(
+            (cells[1:], share(idxs, i, len(env.agents))))
+    return classes
 
 
 def reference_kernel(env, goal_ids, depth, eq1_mode):
-    """The joint search without the column maxima or the tie filter: every
-    combination of non-dominated classes valued, `_maximal` over those
-    values, and every member combination of a maximal one scored."""
+    """The joint search over listed paths, without the column maxima or
+    the tie candidates: every combination of non-dominated classes valued,
+    `_maximal` over those values, and every member combination of a
+    maximal one scored."""
     enc = planner_module._Encoder(env, goal_ids, eq1_mode, None)
-    per_agent = []
-    for i, a in enumerate(env.agents):
-        classes = {}
-        for cells, idxs in grid.agent_paths(env, a.position, depth)[-1]:
-            classes.setdefault(enc.signature(a, frozenset(cells)), []).append(
-                (cells[1:], planner_module._share(idxs, i, len(env.agents))))
-        per_agent.append(classes)
+    per_agent = [listed_classes(enc, env, i, depth)
+                 for i in range(len(env.agents))]
     groups = [planner_module._by_dominance(list(c)) for c in per_agent]
     values = {top: enc.value(reduce(or_, top, 0)) for top in product(*groups)}
     maxima = planner_module._maximal(values.values())
@@ -956,37 +1022,84 @@ class TestChoosePlayDepthFour:
             assert list(got) == list(expected), mode
 
 
-def replay(env, start, idxs):
-    """The cells of the path that takes the given move indices."""
-    cells = (start,)
-    for move in idxs:
-        cells += (grid.agent_moves(env, cells[-1])[move],)
-    return cells
+class TestChoosePlayDepthFive:
+    def test_two_agents_match_the_path_listing(self, monkeypatch):
+        """Past the depth bound, which is lifted here only, on seeded 9x9
+        grids: `len`, `[0]` and `reward` against the search over listed
+        paths."""
+        monkeypatch.setattr(planner_module, "EXHAUSTIVE_DEPTH_BOUND", 5)
+        feats = (("far", 3), ("mid", 2), ("near", 1))
+        starts = [(4, 4), (5, 4)]
+        for k in range(16):
+            rng = random.Random(9900 + k)
+            free = [(c, r) for c in range(9) for r in range(9)
+                    if (c, r) not in starts and rng.random() > 0.12]
+            obstacles = [(c, r) for c in range(9) for r in range(9)
+                         if (c, r) not in starts and (c, r) not in free]
+            agents = [AgentState(f"agent-{i + 1}", cell, rng.randint(1, 2),
+                                 f"a{i + 1}") for i, cell in enumerate(starts)]
+            goals = [GoalObject(gid, rng.choice(free), feats)
+                     for gid in ("b1", "b2")]
+            env = build_environment(9, 9, obstacles, agents, goals)
+            for mode in EQ1_MODES:
+                expected = reference_kernel(env, ["b1", "b2"], 5, mode)
+                got = choose_play(env, system_spec(), ["b1", "b2"], 5,
+                                  eq1_mode=mode)
+                assert len(got) == len(expected), (k, mode)
+                assert got[0] == expected[0], (k, mode)
+                assert got.reward == expected.reward, (k, mode)
+
+
+class TestAgentClasses:
+    def test_state_pass_matches_the_path_listing(self):
+        """Per agent: the same signatures, and for each the same count,
+        first member and member list, in both modes at depths 0-4, on
+        small seeded grids and the walkthrough."""
+        for k in range(25):
+            rng = random.Random(9700 + k)
+            env = random_walkthrough_like(rng) if k else walkthrough_env()
+            goals = rng.sample(["b1", "b2"], rng.randint(0, 2))
+            n = len(env.agents)
+            for mode in EQ1_MODES:
+                for depth in range(5):
+                    enc = planner_module._Encoder(env, goals, mode, None)
+                    for i, a in enumerate(env.agents):
+                        got = planner_module._agent_classes(
+                            enc, a, depth, 5 ** n, 5 ** (n - 1 - i))
+                        expected = listed_classes(enc, env, i, depth)
+                        where = (k, mode, depth, a.id)
+                        assert sorted(got) == sorted(expected), where
+                        for sig, members in expected.items():
+                            assert len(got[sig]) == len(members), where
+                            assert got[sig][0] == members[0], where
+                            assert list(got[sig]) == members, where
 
 
 class TestOneUnroller:
     def test_game_reveals_are_the_search_paths(self, monkeypatch):
-        """The paths choose_play scores at depth d, each seen as its move
-        indices, are the cells of the agent game's reveal vertices at
-        depth d, for every agent."""
+        """The members of an agent's classes in the search at depth d,
+        with the start, are the cells of the agent game's reveal vertices
+        at depth d, each once, for every agent."""
         spec = system_spec()
-        scored = []
-        share = planner_module._share
+        built = []
+        agent_classes = planner_module._agent_classes
 
-        def recording(idxs, agent, agents):
-            scored.append((agent, idxs))
-            return share(idxs, agent, agents)
+        def recording(enc, agent, *args):
+            built.append((agent, agent_classes(enc, agent, *args)))
+            return built[-1][1]
 
-        monkeypatch.setattr(planner_module, "_share", recording)
+        monkeypatch.setattr(planner_module, "_agent_classes", recording)
         for k in range(8):
             rng = random.Random(9500 + k)
             env = random_small_grid(rng)
             for depth in range(4):
-                scored.clear()
+                built.clear()
                 choose_play(env, spec, ["b1"], depth)
-                for i, a in enumerate(env.agents):
-                    paths = [replay(env, a.position, idxs)
-                             for agent, idxs in scored if agent == i]
+                assert [a for a, _ in built] == list(env.agents)
+                for a, classes in built:
+                    paths = [(a.position,) + cells
+                             for members in classes.values()
+                             for cells, _ in members]
                     game = grid.build_agent_game(env, a.id, depth)
                     reveals = [cells for kind, cells in game.vertices
                                if kind == "r" and len(cells) == depth + 1]
@@ -1386,6 +1499,23 @@ class TestLazyAlternates:
         assert len(expansions) == 1
         assert list(plan.alternates)[0] == plan.plays
         assert len(expansions) == 1
+
+    def test_classes_listed_only_past_the_first_play(self, monkeypatch):
+        """A plan reads each class's `len` and `[0]` only; the members are
+        listed from the search's states when a later play is read."""
+        listed = []
+        listing = planner_module._Class._listed
+
+        def spy(cls):
+            listed.append(cls)
+            return listing(cls)
+
+        monkeypatch.setattr(planner_module._Class, "_listed", spy)
+        plan = plan_once(walkthrough_env(), system_spec(),
+                         walkthrough_desires(), discovered=["b1", "b2"],
+                         depth=3)
+        assert len(plan.alternates) == 1050 and listed == []
+        assert plan.alternates[1] != plan.plays and listed
 
     def test_sequence_protocol(self):
         env = TestChoosePlay().one_agent_env()
