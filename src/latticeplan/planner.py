@@ -6,11 +6,14 @@ goals' facts. Joint plays are scored in the reward lattice, which sees
 each agent's path only through a signature of its visited cells packed
 into one int, so join, cover and reward are single int operations. The
 exact search builds each agent's classes of equal signature in one pass
-over (cell, signature) states, finds the maximal rewards over the classes
-that no other class covers with per-bit columns over their product, picks
-the dominated classes that may tie them from per-agent columns, and
-returns the plays of the maximal combinations as a lazy sequence,
-expanded only when read past its first play, whose reward it carries.
+over (cell, signature) states, with no predecessors: a class keeps its
+path count and first member, and its other members come from the
+agent's paths as `grid.agent_paths` lists them, on the first read past
+that member. It finds the maximal rewards over the classes that no other
+class covers with per-bit columns over their product, picks the
+dominated classes that may tie them from per-agent columns, and returns
+the plays of the maximal combinations as a lazy sequence, expanded only
+when read past its first play, whose reward it carries.
 Ties between agents break on desire-lattice vertex weights, then on
 agent order. The simulation loop is receding-horizon: one committed move
 per step, full re-planning after.
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import combinations, product
-from math import comb, lcm, prod
+from math import comb, prod
 from operator import and_, itemgetter, or_
 from typing import Iterable, Mapping, Sequence
 
@@ -529,17 +532,15 @@ def check_step_bound(max_steps: int) -> None:
                            f" {SIMULATE_STEP_BOUND}")
 
 
-class _Class(SequenceABC):
-    """One agent's paths of one signature: read-only (cells after the
-    start, share) pairs in share order.
+class _Lazy(SequenceABC):
+    """Read-only sequence whose `len` and `[0]` are known up front.
 
-    `len` and `[0]` come from the final states of that signature; any
-    other read lists the members from the layers once and keeps them.
+    Any other read calls `listing` once and keeps the list it returns.
     """
 
-    def __init__(self, size: int, first: tuple, listing):
+    def __init__(self, size: int, first, listing):
         self._len, self._first, self._listing = size, first, listing
-        self._members: list | None = None
+        self._items: list | None = None
 
     def __len__(self) -> int:
         return self._len
@@ -552,15 +553,21 @@ class _Class(SequenceABC):
     def __iter__(self):
         return iter(self._listed())
 
+    def __eq__(self, other):
+        if not isinstance(other, SequenceABC):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
     def _listed(self) -> list:
-        if self._members is None:
-            self._members = self._listing()
-        return self._members
+        if self._items is None:
+            self._items = self._listing()
+        return self._items
 
 
 def _agent_classes(enc: _Encoder, agent, depth: int, base: int,
                    scale: int) -> dict:
-    """An agent's paths of `depth` steps, by signature, as lazy `_Class`es.
+    """An agent's paths of `depth` steps, by signature, as `_Lazy` lists
+    of (cells after the start, share) in share order.
 
     Plays are ordered by their interleaved move indices: each step's
     indices in agent order. Read as base-5 digits (a move index is 0-4),
@@ -569,23 +576,23 @@ def _agent_classes(enc: _Encoder, agent, depth: int, base: int,
     times `scale` (5 to the count of agents after it).
 
     The pass goes layer by layer over states (last cell, signature), as a
-    step's signature is the join of the state's and the target cell's. A
-    state keeps its path count, its smallest path with that path's share
-    before `scale`, and its predecessors as (state, move index) pairs.
-    Each layer lists its states in order of their smallest paths: by
-    induction, the next layer's states arrive in that order, as their
-    first arrivals extend the smallest paths in order, move by move. So a
-    state's first arrival is its smallest path, and a class's first final
-    state holds the class's first member.
+    step's signature is the join of the state's and the target cell's,
+    and keeps only the current layer. A state holds its path count and
+    its smallest path with that path's share before `scale`. Each layer
+    lists its states in order of their smallest paths: by induction, the
+    next layer's states arrive in that order, as their first arrivals
+    extend the smallest paths in order, move by move. So a state's first
+    arrival is its smallest path, and a class's first final state holds
+    the class's first member. Any other member is read from the agent's
+    paths as `grid.agent_paths` lists them, in share order, grouped by
+    signature once for all of the agent's classes.
     """
     position, horizon = tuple(agent.position), agent.horizon
     steps: dict = {}  # cell -> its signature
-    layers = [{(position, enc._cell(position, horizon)): [1, 0, (position,),
-                                                          ()]}]
+    layer = {(position, enc._cell(position, horizon)): [1, 0, (position,)]}
     for _ in range(depth):
-        layer: dict = {}
-        for state, (count, share, cells, _) in layers[-1].items():
-            cell, sig = state
+        layer, previous = {}, layer
+        for (cell, sig), (count, share, cells) in previous.items():
             share *= base
             for move, target in enumerate(grid.agent_moves(enc.env, cell)):
                 step = steps.get(target)
@@ -594,43 +601,32 @@ def _agent_classes(enc: _Encoder, agent, depth: int, base: int,
                 key = target, sig | step
                 into = layer.get(key)
                 if into is None:
-                    layer[key] = [count, share + move, cells + (target,),
-                                  [(state, move)]]
+                    layer[key] = [count, share + move, cells + (target,)]
                 else:
                     into[0] += count
-                    into[3].append((state, move))
-        layers.append(layer)
 
-    paths: dict = {}  # (layer, state) -> [(cells, share before scale)]
+    listed: dict = {}  # signature -> its members, once any is read
 
-    def paths_into(d: int, state) -> list:
-        out = paths.get((d, state))
-        if out is None:
-            if d == 0:
-                out = [((position,), 0)]
-            else:
-                out = [(cells + (state[0],), share * base + move)
-                       for pred, move in layers[d][state][3]
-                       for cells, share in paths_into(d - 1, pred)]
-            paths[d, state] = out
-        return out
+    def members(sig: int) -> list:
+        if not listed:
+            for cells, moves in grid.agent_paths(enc.env, position,
+                                                 depth)[-1]:
+                share = 0
+                for move in moves:
+                    share = share * base + move
+                listed.setdefault(enc.signature(agent, cells), []).append(
+                    (cells[1:], share * scale))
+        return listed[sig]
 
-    def members(states: list) -> list:
-        out = [(cells[1:], share * scale) for state in states
-               for cells, share in paths_into(depth, state)]
-        out.sort(key=itemgetter(1))
-        return out
-
-    finals: dict = {}  # signature -> [path count, first member, states]
-    for state, (count, share, cells, _) in layers[-1].items():
-        final = finals.get(state[1])
+    finals: dict = {}  # signature -> [path count, first member]
+    for (_, sig), (count, share, cells) in layer.items():
+        final = finals.get(sig)
         if final is None:
-            finals[state[1]] = [count, (cells[1:], share * scale), [state]]
+            finals[sig] = [count, (cells[1:], share * scale)]
         else:
             final[0] += count
-            final[2].append(state)
-    return {sig: _Class(count, first, partial(members, states))
-            for sig, (count, first, states) in finals.items()}
+    return {sig: _Lazy(count, first, partial(members, sig))
+            for sig, (count, first) in finals.items()}
 
 
 def _expand_plays(agent_ids: tuple, combos: list) -> list:
@@ -644,7 +640,7 @@ def _expand_plays(agent_ids: tuple, combos: list) -> list:
     return [dict(zip(agent_ids, paths)) for _, paths in keyed]
 
 
-class MaximalPlays(SequenceABC):
+class MaximalPlays(_Lazy):
     """Read-only sequence of the reward-maximal joint plays, in order.
 
     It holds the maximal class combinations, each a list of per-agent
@@ -659,35 +655,13 @@ class MaximalPlays(SequenceABC):
     """
 
     def __init__(self, agent_ids, combos: list, decode):
-        self._agent_ids = tuple(agent_ids)
-        self._combos = combos
-        self._len = sum(prod(map(len, members)) for members, _ in combos)
-        self._plays: list | None = None
-        members, value = min(combos, key=lambda combo: sum(
+        agent_ids = tuple(agent_ids)
+        first, value = min(combos, key=lambda combo: sum(
             [m[0][1] for m in combo[0]]))
-        self._first = dict(zip(self._agent_ids, (m[0][0] for m in members)))
+        super().__init__(sum(prod(map(len, ms)) for ms, _ in combos),
+                         dict(zip(agent_ids, (m[0][0] for m in first))),
+                         partial(_expand_plays, agent_ids, combos))
         self.reward: frozenset = decode(value)
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, index):
-        if index == 0:
-            return self._first
-        return self._expanded()[index]
-
-    def __iter__(self):
-        return iter(self._expanded())
-
-    def _expanded(self) -> list:
-        if self._plays is None:
-            self._plays = _expand_plays(self._agent_ids, self._combos)
-        return self._plays
-
-    def __eq__(self, other):
-        if not isinstance(other, SequenceABC):
-            return NotImplemented
-        return len(self) == len(other) and list(self) == list(other)
 
 
 def choose_play(env: GridEnvironment, spec: GoalLatticeSpec,
@@ -841,6 +815,8 @@ def plan_once(env: GridEnvironment, spec: GoalLatticeSpec,
               subset_cap: int | None = None,
               eq1_mode: str = "per-goal") -> ItineraryPlan:
     """Select intentions, assign agents, and pick the maximal joint play."""
+    check_search_bounds(depth, len(env.agents))
+    check_eq1_mode(eq1_mode)
     movement_ids = [a.movement_goal_id for a in env.agents]
 
     def filter_reachable(goal_id: str) -> bool:
@@ -855,11 +831,10 @@ def plan_once(env: GridEnvironment, spec: GoalLatticeSpec,
                                max_size=cap)
     tie_break = len(ranked) > 1
     if ranked:
-        # each goal's score once, as an int over the scores' common
-        # denominator, so that a subset's sum is exact and cheap
-        score = {g: subset_score(spec, (g,)) for g in goals}
-        scale = lcm(*(s.denominator for s in score.values()))
-        score = {g: int(s * scale) for g, s in score.items()}
+        # each goal's score once, as an int: every weight is a count of
+        # targets over their number, so a subset's sum is exact and cheap
+        score = {g: int(subset_score(spec, (g,)) * len(spec.target_names))
+                 for g in goals}
         chosen, priority = min(ranked, key=lambda cp: (
             -sum(score[g] for g in cp[0]), len(cp[0]), cp[0]))
     else:
@@ -936,6 +911,8 @@ def simulate(env: GridEnvironment, spec: GoalLatticeSpec,
     steps, or at max_steps, which may not exceed SIMULATE_STEP_BOUND.
     """
     check_step_bound(max_steps)
+    check_search_bounds(depth, len(env.agents))
+    check_eq1_mode(eq1_mode)
     for a in env.agents:
         spec.fact_of(a.movement_goal_id)
     positions = {a.id: a.position for a in env.agents}

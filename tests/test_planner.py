@@ -1414,6 +1414,24 @@ class TestPlanOnce:
             assert plan.priority_value.members == priority.members, seed
         assert tied > 12
 
+    def test_search_limits_before_any_work(self, monkeypatch):
+        """A depth or mode the search refuses fails before any goal is
+        flooded for or any intention selected."""
+        calls = []
+        monkeypatch.setattr(grid, "reachable",
+                            lambda *args: calls.append(args))
+        monkeypatch.setattr(planner_module, "select_intentions",
+                            lambda *args, **kwargs: calls.append(args))
+        for kwargs, error, message in (
+                ({"depth": 9}, DepthTooLarge, "planner depth 9"),
+                ({"eq1_mode": "bogus"}, PlannerError,
+                 "unknown eq1 mode 'bogus'")):
+            with pytest.raises(error, match=message):
+                plan_once(walkthrough_env(), system_spec(),
+                          walkthrough_desires(), discovered=["b1", "b2"],
+                          **kwargs)
+        assert calls == []
+
     def test_walkthrough_depth_three(self):
         env = walkthrough_env()
         plan = plan_once(env, system_spec(), walkthrough_desires(),
@@ -1500,22 +1518,44 @@ class TestLazyAlternates:
         assert list(plan.alternates)[0] == plan.plays
         assert len(expansions) == 1
 
+    def spy_on_agent_paths(self, monkeypatch) -> list:
+        calls = []
+        agent_paths = grid.agent_paths
+
+        def spy(env, start, depth):
+            calls.append((tuple(start), depth))
+            return agent_paths(env, start, depth)
+
+        monkeypatch.setattr(grid, "agent_paths", spy)
+        return calls
+
     def test_classes_listed_only_past_the_first_play(self, monkeypatch):
         """A plan reads each class's `len` and `[0]` only; the members are
-        listed from the search's states when a later play is read."""
-        listed = []
-        listing = planner_module._Class._listed
+        listed from `grid.agent_paths` when a later play is read."""
+        calls = self.spy_on_agent_paths(monkeypatch)
+        env = walkthrough_env()
+        plan = plan_once(env, system_spec(), walkthrough_desires(),
+                         discovered=["b1", "b2"], depth=3)
+        assert len(plan.alternates) == 1050 and calls == []
+        assert plan.alternates[1] != plan.plays
+        assert sorted(calls) == sorted((a.position, 3) for a in env.agents)
 
-        def spy(cls):
-            listed.append(cls)
-            return listing(cls)
-
-        monkeypatch.setattr(planner_module._Class, "_listed", spy)
-        plan = plan_once(walkthrough_env(), system_spec(),
-                         walkthrough_desires(), discovered=["b1", "b2"],
-                         depth=3)
-        assert len(plan.alternates) == 1050 and listed == []
-        assert plan.alternates[1] != plan.plays and listed
+    def test_one_listing_per_agent(self, monkeypatch):
+        """Reading every play, twice, lists each agent's paths once however
+        many classes the agent has."""
+        calls = self.spy_on_agent_paths(monkeypatch)
+        spec = system_spec()
+        for k in range(6):
+            env = random_small_grid(random.Random(9600 + k))
+            for mode in EQ1_MODES:
+                for depth in range(1, 4):
+                    calls.clear()
+                    out = choose_play(env, spec, ["b1"], depth,
+                                      eq1_mode=mode)
+                    plays = list(out)
+                    assert list(out) == plays and len(plays) == len(out)
+                    assert sorted(calls) == sorted(
+                        (a.position, depth) for a in env.agents), (k, mode)
 
     def test_sequence_protocol(self):
         env = TestChoosePlay().one_agent_env()
@@ -1543,6 +1583,16 @@ class TestSimulate:
         assert isinstance(info.value, LimitExceeded)
         assert str(info.value) == "max steps 10001 exceed the bound 10000"
         assert calls == []
+
+    def test_search_limits_before_the_first_step(self):
+        """A depth or mode the search refuses fails at once, even when no
+        step would run."""
+        env, spec, desires = (walkthrough_env(), system_spec(),
+                              walkthrough_desires())
+        with pytest.raises(DepthTooLarge, match="planner depth 9"):
+            simulate(env, spec, desires, depth=9, max_steps=0)
+        with pytest.raises(PlannerError, match="unknown eq1 mode 'bogus'"):
+            simulate(env, spec, desires, max_steps=0, eq1_mode="bogus")
 
     def test_walled_in_no_goals_ends_by_patience(self):
         agents = [AgentState("a", (1, 1), 1, "m")]
