@@ -2,7 +2,8 @@
 
 Priorities of goal subsets are evaluated in the system phase space as
 (a1 (x) ... (x) al) -o (b1 (x) ... (x) bk), once per multiset of the
-goals' facts. Joint plays are scored in the reward lattice, which sees
+goals' facts, and kept in the goal lattice's table for later decision
+cycles. Joint plays are scored in the reward lattice, which sees
 each agent's path only through a signature of its visited cells packed
 into one int, so join, cover and reward are single int operations. The
 exact search builds each agent's classes of equal signature in one pass
@@ -99,17 +100,23 @@ class InvalidDesires(PlannerError):
 
 @dataclass(eq=False)
 class GoalLatticeSpec:
-    """System goal lattice: a phase space plus the goal-to-fact map."""
+    """System goal lattice: a phase space plus the goal-to-fact map.
+
+    `_table` keeps each priority the planner evaluates, for every later
+    decision cycle: a (movement-fact multiset, goal-fact multiset) pair,
+    each the sorted tuple of its facts' names, maps to its priority.
+    """
 
     phase: PhaseSpace
     goal_map: dict
-    names: dict
+    names: dict  # every fact's members -> its display name
     lattice: FiniteLattice = field(repr=False)
     target_names: tuple
     facts: tuple = field(repr=False)  # in enumerate_facts order
+    _table: dict = field(default_factory=dict, init=False, repr=False)
 
     def fact_name(self, fact: MonoidSubset) -> str:
-        return self.names.get(fact.members, subset_id(fact.members))
+        return self.names[fact.members]
 
     def fact_of(self, goal_id: str) -> MonoidSubset:
         try:
@@ -147,8 +154,22 @@ def build_goal_lattice_spec(phase: PhaseSpace, goal_map: Mapping,
              for a in facts for b in facts if a.members <= b.members]
     lattice = verify_poset(ids, pairs)
     targets = tuple(sorted({by_members[t.members] for t in goal_map.values()}))
-    return GoalLatticeSpec(phase=phase, goal_map=dict(goal_map), names=names,
-                           lattice=lattice, target_names=targets, facts=facts)
+    return GoalLatticeSpec(phase=phase, goal_map=dict(goal_map),
+                           names=by_members, lattice=lattice,
+                           target_names=targets, facts=facts)
+
+
+def _multiset(spec: GoalLatticeSpec, goal_ids: Iterable[str]) -> tuple:
+    """The goals' facts as a multiset: the sorted tuple of their names."""
+    return tuple(sorted([spec.fact_name(spec.fact_of(g)) for g in goal_ids]))
+
+
+def _kept(spec: GoalLatticeSpec, key, compute):
+    """The spec's table entry for the key, computed only on a miss."""
+    value = spec._table.get(key)
+    if value is None:
+        value = spec._table[key] = compute()
+    return value
 
 
 def process_priority(spec: GoalLatticeSpec, movement_ids: Sequence[str],
@@ -178,32 +199,28 @@ def select_intentions(spec: GoalLatticeSpec, discovered: Iterable[str],
     found among the distinct priorities, which are facts, so there are at
     most as many as facts however many candidates there are. More than
     INTENTION_SUBSET_BOUND candidates are refused before any is listed.
+    Priorities are read from the spec's table, so across calls each
+    multiset is evaluated once.
     """
     pool = sorted(discovered)
     cap = len(pool) if max_size is None else min(max_size, len(pool))
-    fact_no: dict = {}  # goal id -> a number per distinct fact
+    name: dict = {}  # goal id -> its fact's name
     if cap:
-        for goal_id in movement_ids:  # unknown ids fail in the order
-            spec.fact_of(goal_id)     # process_priority reads them
-        numbers: dict = {}
-        for g in pool:
-            fact_no[g] = numbers.setdefault(spec.fact_of(g).members,
-                                            len(numbers))
+        # unknown ids fail in the order process_priority reads them
+        moves = _multiset(spec, movement_ids)
+        name = {g: spec.fact_name(spec.fact_of(g)) for g in pool}
     count = sum(comb(len(pool), size) for size in range(1, cap + 1))
     if count > INTENTION_SUBSET_BOUND:
         raise TooManyGoalSubsets(f"{count} goal subsets exceed the bound"
                                  f" {INTENTION_SUBSET_BOUND}")
-    priorities: dict = {}  # sorted fact numbers -> priority
     candidates = []
     for size in range(1, cap + 1):
         for combo in combinations(pool, size):
-            key = tuple(sorted([fact_no[g] for g in combo]))
-            priority = priorities.get(key)
-            if priority is None:
-                priority = priorities[key] = process_priority(
-                    spec, movement_ids, combo)
-            candidates.append((combo, priority))
-    values = {priority.members for priority in priorities.values()}
+            key = (moves, tuple(sorted([name[g] for g in combo])))
+            candidates.append((combo, _kept(
+                spec, key,
+                lambda: process_priority(spec, movement_ids, combo))))
+    values = {priority.members for _, priority in candidates}
     maxima = {v for v in values if not any(v < other for other in values)}
     return [(combo, priority) for combo, priority in candidates
             if priority.members in maxima]
@@ -224,14 +241,20 @@ def subset_score(spec: GoalLatticeSpec, subset: Sequence[str]) -> Fraction:
 
 
 def _positions_of(env: GridEnvironment, joint_play: Mapping) -> dict:
+    """Each agent's cells, start first; every cell must be free, checked
+    in agent order and then path order."""
     agents = {a.id: a for a in env.agents}
     if set(joint_play) != set(agents):
         raise LengthMismatch("joint play must cover exactly the env agents")
     lengths = {len(path) for path in joint_play.values()}
     if len(lengths) > 1:
         raise LengthMismatch(f"per-agent path lengths differ: {sorted(lengths)}")
-    return {aid: (agents[aid].position,) + tuple(tuple(c) for c in path)
-            for aid, path in joint_play.items()}
+    positions = {a.id: (a.position,) + tuple(map(tuple, joint_play[a.id]))
+                 for a in env.agents}
+    for cells in positions.values():
+        for cell in cells:
+            grid._check_free(env, cell, "observer")
+    return positions
 
 
 def _seen_at_start(env: GridEnvironment) -> frozenset:
@@ -269,6 +292,10 @@ class _Encoder:
         for g in self.goals:
             for name in g.feature_names():
                 self.features.setdefault(name, len(self.features))
+        # per goal: its cell, and each feature's bit and visibility range
+        self.views = [(tuple(g.position),
+                       [(1 << self.features[name], rng)
+                        for name, rng in g.features]) for g in self.goals]
         self.width = len(self.features)
         self.per_goal = eq1_mode == "per-goal"
         slots = len(self.goals) if self.per_goal else 1
@@ -277,22 +304,30 @@ class _Encoder:
         self.scouts: dict = {}  # scouted cell -> bit position above the slots
         self._cells: dict = {}  # (cell, horizon) -> signature
 
-    def _bits(self, names) -> int:
-        value = 0
-        for name in names:
-            value |= 1 << self.features[name]
-        return value
-
     def _cell(self, cell, horizon: int) -> int:
+        """The signature of one cell: its scout bits, then its goal views.
+
+        A goal shows from the cell exactly when its own cell is in the
+        cell's sight set, which holds the cells within the horizon and in
+        line of sight, and then shows the features whose range covers the
+        distance: `grid.reward`, without calling it.
+        """
         sig = self._cells.get((cell, horizon))
         if sig is None:
             sig = 0
-            for c in grid.observed_cells(self.env, cell, horizon) \
-                    - self.scouted:
+            seen = grid.observed_cells(self.env, cell, horizon)
+            for c in seen - self.scouted:
                 sig |= 1 << self.scouts.setdefault(c, len(self.scouts))
             sig <<= self.scout_shift
-            views = [self._bits(grid.reward(self.env, cell, g, horizon))
-                     for g in self.goals]
+            views = []
+            for at, features in self.views:
+                view = 0
+                if at in seen:
+                    dist = grid.chebyshev(cell, at)
+                    for bit, rng in features:
+                        if dist <= rng:
+                            view |= bit
+                views.append(view)
             if self.per_goal:
                 for shift, view in zip(self.shifts, views):
                     sig |= view << shift
@@ -838,7 +873,9 @@ def plan_once(env: GridEnvironment, spec: GoalLatticeSpec,
         chosen, priority = min(ranked, key=lambda cp: (
             -sum(score[g] for g in cp[0]), len(cp[0]), cp[0]))
     else:
-        chosen, priority = (), process_priority(spec, movement_ids, ())
+        chosen, priority = (), _kept(
+            spec, (_multiset(spec, movement_ids), ()),
+            lambda: process_priority(spec, movement_ids, ()))
 
     rewards = {a.id: {g: grid.reward(env, a.position, g, a.horizon)
                       for g in chosen}

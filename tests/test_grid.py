@@ -295,6 +295,40 @@ class TestAgentMoves:
         env = make_env(obstacles=[(3, 2)])
         assert agent_moves(env, (3, 3)) == [(4, 3), (3, 4), (2, 3), (3, 3)]
 
+    def test_illegal_position_class_and_message(self):
+        env = make_env(5, 4, obstacles=[(3, 2)])
+        cases = [((-1, 0), OutOfBounds,
+                  "position at (-1, 0) is outside the 5x4 grid"),
+                 ((2, 4), OutOfBounds,
+                  "position at (2, 4) is outside the 5x4 grid"),
+                 ((3, 2), OnObstacle, "position at (3, 2) sits on an obstacle")]
+        for position, error, message in cases:
+            with pytest.raises(error) as info:
+                agent_moves(env, position)
+            assert type(info.value) is error
+            assert str(info.value) == message
+
+    def test_matches_a_filtered_scan(self):
+        """Seeded grids up to 12x12 and 1x1 grids: every free cell's moves
+        are its in-bounds, obstacle-free neighbours in north, east, south,
+        west order, then the cell itself."""
+        for seed in range(40):
+            rng = random.Random(seed)
+            width, height = (1, 1) if seed % 8 == 0 else (
+                rng.randint(1, 12), rng.randint(1, 12))
+            cells = [(c, r) for c in range(width) for r in range(height)]
+            density = rng.choice([0.0, 0.2, 0.5])
+            env = make_env(width, height,
+                           [cell for cell in cells if rng.random() < density])
+            for c, r in cells:
+                if (c, r) in env.obstacles:
+                    continue
+                expected = [cell for cell in [(c, r - 1), (c + 1, r),
+                                              (c, r + 1), (c - 1, r)]
+                            if cell in cells and cell not in env.obstacles]
+                assert agent_moves(env, (c, r)) == expected + [(c, r)], (
+                    seed, (c, r))
+
 
 class TestReachable:
     def test_reflexive(self):

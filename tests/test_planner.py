@@ -1,17 +1,25 @@
 """Priorities, intention selection, play choice, weights, assignment."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
 from math import prod
-from operator import or_
+from operator import and_, or_
 
 import pytest
 
+import digest_corpus
 from latticeplan import grid
 from latticeplan import planner as planner_module
-from latticeplan.grid import AgentState, GoalObject, build_environment
+from latticeplan.grid import (
+    AgentState,
+    GoalObject,
+    OnObstacle,
+    OutOfBounds,
+    build_environment,
+)
 from latticeplan.errors import LimitExceeded
 from latticeplan.lattice import (
     LATTICE_ELEMENT_BOUND,
@@ -52,6 +60,7 @@ from latticeplan.planner import (
     subset_score,
     vertex_weight,
 )
+from latticeplan.scenario import load_scenario
 
 
 def union_phase():
@@ -471,6 +480,29 @@ class TestPlayReward:
             play_reward(env, {}, ["g", "nope"])
         assert str(info.value) == "no goal 'nope' in the environment"
 
+    @pytest.mark.parametrize("goal_ids", [["b1", "b2"], []])
+    def test_illegal_cells_raise_with_and_without_goals(self, goal_ids):
+        """A play through an obstacle or off the grid raises, goals or
+        none: the first illegal cell in agent order, then path order,
+        whatever the order of the play's keys."""
+        env = walkthrough_env()
+        cases = [
+            ({"agent-3": ((7, 3),), "agent-1": ((1, 2),),
+              "agent-2": ((4, 2),)},
+             OnObstacle, "observer at (1, 2) sits on an obstacle"),
+            ({"agent-1": ((2, 3),), "agent-2": ((4, 2),),
+              "agent-3": ((7, 3),)},
+             OutOfBounds, "observer at (7, 3) is outside the 7x7 grid"),
+            ({"agent-1": ((-1, 4), (1, 2)), "agent-2": ((4, 2), (4, 1)),
+              "agent-3": ((6, 2), (6, 1))},
+             OutOfBounds, "observer at (-1, 4) is outside the 7x7 grid"),
+        ]
+        for play, error, message in cases:
+            with pytest.raises(error) as info:
+                play_reward(env, play, goal_ids)
+            assert type(info.value) is error
+            assert str(info.value) == message
+
     def test_matches_frozenset_reward(self):
         """Seeded joint plays against the reward computed on frozensets,
         in both modes: no goals, goals without features, and goals that
@@ -533,6 +565,61 @@ class TestPlayReward:
                 if len(shared) > len(set(shared)):
                     seen_kinds.add("shared")
         assert {0, 1, 2, 3, "featureless", "shared"} <= seen_kinds
+
+
+class TestGoalViewsFromSight:
+    def test_cell_goal_part_matches_the_reward_formula(self):
+        """Seeded grids up to 20x20 and 1x1 grids, horizons 0-16, feature
+        ranges 0 to horizon + 2, both modes: for every free cell, edges
+        and corners included, the goal part of `_cell` is what the bits of
+        `grid.reward` give, one slot per goal or their meet."""
+        kinds = set()
+        for seed in range(36):
+            rng = random.Random(seed)
+            width, height = (1, 1) if seed % 9 == 0 else (
+                rng.randint(1, 20), rng.randint(1, 20))
+            cells = [(c, r) for c in range(width) for r in range(height)]
+            density = rng.choice([0.0, 0.15, 0.3])
+            obstacles = [c for c in cells[1:] if rng.random() < density]
+            free = [c for c in cells if c not in obstacles]
+            horizon = (0, 1, 16)[seed % 3] if seed < 6 \
+                else rng.randint(0, 16)
+            goals = [GoalObject(f"g{i}", rng.choice(free), tuple(
+                (name, rng.randint(0, horizon + 2))
+                for name in rng.sample(["p", "q", "r", "s"],
+                                       rng.randint(0, 4))))
+                for i in range(rng.randint(1, 3))]
+            env = build_environment(width, height, obstacles, [], goals)
+            for mode in EQ1_MODES:
+                enc = planner_module._Encoder(env, [g.id for g in goals],
+                                              mode, frozenset())
+                slots = (1 << enc.scout_shift) - 1
+
+                def bits(names):
+                    return sum(1 << enc.features[n] for n in names)
+
+                for cell in free:
+                    views = [bits(grid.reward(env, cell, g, horizon))
+                             for g in goals]
+                    if mode == "per-goal":
+                        expected = sum(v << s
+                                       for v, s in zip(views, enc.shifts))
+                    else:
+                        expected = reduce(and_, views)
+                    assert enc._cell(cell, horizon) & slots == expected, (
+                        seed, mode, cell)
+                    for g in goals:
+                        dist = grid.chebyshev(cell, g.position)
+                        sight = grid.line_of_sight(env, cell, g.position)
+                        if dist <= horizon and not sight:
+                            kinds.add("hidden")
+                        if dist <= horizon and sight and any(
+                                dist > reach for _, reach in g.features):
+                            kinds.add("out of range")
+                        if dist > horizon and any(
+                                dist <= reach for _, reach in g.features):
+                            kinds.add("past the horizon")
+        assert kinds == {"hidden", "out of range", "past the horizon"}
 
 
 class TestChoosePlay:
@@ -1671,3 +1758,77 @@ class TestSimulate:
         assert trace.steps[-1].achieved == ("b1", "b2")
         discovered_later = {g for s in trace.steps for g in s.discovered}
         assert "b3" in discovered_later
+
+
+class TestSpecTable:
+    @staticmethod
+    def spy_priorities(monkeypatch) -> list:
+        """Record each `process_priority` call as its pair of fact
+        multisets: (movement facts, goal facts)."""
+        calls = []
+
+        def multiset(spec, ids):
+            return frozenset(Counter(spec.fact_of(i).members
+                                     for i in ids).items())
+
+        def spy(spec, movement_ids, goal_subset):
+            calls.append((multiset(spec, movement_ids),
+                          multiset(spec, goal_subset)))
+            return process_priority(spec, movement_ids, goal_subset)
+
+        monkeypatch.setattr(planner_module, "process_priority", spy)
+        return calls
+
+    def test_walkthrough_run_evaluates_each_multiset_once(self, monkeypatch):
+        calls = self.spy_priorities(monkeypatch)
+        trace = simulate(walkthrough_env(), system_spec(),
+                         walkthrough_desires(), depth=2, max_steps=40,
+                         subset_cap=2, patience=6)
+        assert trace.end_reason == "all goals achieved"
+        assert calls and len(set(calls)) == len(calls) < len(trace.steps)
+
+    def test_generated_run_evaluates_each_multiset_once(self, monkeypatch,
+                                                        tmp_path):
+        [(_, path)] = [(name, path) for name, path in
+                       digest_corpus._generate("simulate", 1, str(tmp_path))
+                       if name.endswith("/p2d2s-0")]
+        sc = load_scenario(path)
+        calls = self.spy_priorities(monkeypatch)
+        cfg = sc.planner
+        trace = simulate(sc.env, sc.spec, sc.desire_lattices,
+                         depth=cfg.depth, max_steps=cfg.max_steps,
+                         subset_cap=cfg.subset_cap, patience=cfg.patience,
+                         eq1_mode=cfg.eq1_mode)
+        assert len(set(calls)) == len(calls) == 5
+        assert len(trace.steps) == 6
+
+    def test_warm_table_selects_as_a_fresh_spec(self):
+        """200 seeded pools of goals mapped onto the system facts, with
+        seeded movement goals and caps, through one spec and through a
+        fresh spec each."""
+        base = system_spec()
+        facts = list(base.facts)
+        goal_map = dict(base.goal_map)
+        for i in range(10):
+            goal_map[f"g{i}"] = facts[i % len(facts)]
+        warm = build_goal_lattice_spec(base.phase, goal_map, SYSTEM_NAMES)
+        ids = sorted(goal_map)
+        for seed in range(200):
+            rng = random.Random(seed)
+            pool = rng.sample(ids, rng.randint(0, 5))
+            movement = rng.sample(ids, rng.randint(0, 3))
+            cap = rng.choice([None, 1, 2, 3])
+            fresh = build_goal_lattice_spec(base.phase, goal_map,
+                                            SYSTEM_NAMES)
+            assert select_intentions(warm, pool, movement_ids=movement,
+                                     max_size=cap) == select_intentions(
+                fresh, pool, movement_ids=movement, max_size=cap), seed
+        assert len(warm._table) > 20
+
+    def test_specs_from_one_document_share_no_table(self):
+        first, second = (load_scenario(digest_corpus.WALKTHROUGH)
+                         for _ in range(2))
+        assert first.spec._table is not second.spec._table
+        plan_once(first.env, first.spec, first.desire_lattices,
+                  discovered=["b1", "b2"])
+        assert first.spec._table and not second.spec._table
