@@ -25,15 +25,17 @@ SCOUT_PREFIX = "scout:"
 GAME_VERTEX_BOUND = 50_000
 
 # Largest observer horizon, checked first in `build_environment`. One
-# `observed_cells` call at the centre of a 64x64 grid (CPU time, Python
-# 3.11, warm tables) takes 0.08 ms at horizon 8 and 0.31 ms at 16 on an
-# open grid, and 0.09 and 0.38 ms with 30% of the cells blocked; at a
-# corner, where the clipped square is walked instead of the shadow
-# offsets, 0.03 and 0.08-0.09 ms either way. The search makes one per
-# distinct visited cell. Building the tables of both horizons takes 7-9 ms
-# once per process. The bound also sizes the caches of sight lines, one
-# per endpoint difference, that `_between` keeps, and of shadow tables
-# and shadow offsets, one per horizon, that `_shadows` and `_hiders` keep.
+# `sight` mask at the centre of a 64x64 grid (CPU time, Python 3.11, warm
+# tables, cold environment cache) takes 0.02-0.03 ms at horizon 8 and
+# 0.07-0.11 ms at 16 on an open grid, and 0.04 and 0.15 ms with 30% of the
+# cells blocked; at a corner, where the clipped square is walked instead
+# of the shadow offsets, 0.02 and 0.06 ms open, 0.02 and 0.09 ms blocked.
+# The search makes one per distinct visited cell; `observed_cells` lists a
+# mask's cells in 0.04-0.06 ms more at horizon 8 and 0.05-0.2 ms at 16.
+# Building the shadow tables of both horizons takes 10-16 ms once per
+# process. The bound also sizes the caches of sight lines, one per
+# endpoint difference, that `_between` keeps, and of shadow tables and bit
+# offsets, one per horizon, that `_shadows` and `_offsets` keep.
 HORIZON_BOUND = 16
 
 # Largest grid, in cells, checked first in `build_environment`. Flooding
@@ -224,29 +226,39 @@ def _between(dc: int, dr: int) -> tuple:
 
 @lru_cache(maxsize=HORIZON_BOUND + 1)
 def _shadows(horizon: int) -> dict:
-    """Each offset of the horizon's square, with the offsets it hides.
+    """Each offset of the horizon's square that hides a cell, with the
+    offsets it hides as a square mask (see `sight`).
 
     An obstacle at offset o hides the offsets d whose `_between` line
-    passes through o: exactly the cells `line_of_sight` would refuse.
+    passes through o: exactly the cells `line_of_sight` would refuse. Such
+    an o lies strictly between d and the position: an offset of the inner
+    square, one cell narrower on each side, other than the position's own.
+    That is 8 of 25 at horizon 2, and none at horizon 1.
     """
+    side = 2 * horizon + 1
     span = range(-horizon, horizon + 1)
-    shadows: dict = {(x, y): set() for x in span for y in span}
-    for d in shadows:
-        for o in _between(*d):
-            shadows[o].add(d)
-    return {o: frozenset(hidden) for o, hidden in shadows.items()}
+    shadows: dict = {}
+    for x in span:
+        for y in span:
+            for o in _between(x, y):
+                shadows[o] = shadows.get(o, 0) | 1 << (y + horizon) * side \
+                    + x + horizon
+    return shadows
 
 
 @lru_cache(maxsize=HORIZON_BOUND + 1)
-def _hiders(horizon: int) -> tuple:
-    """The offsets of the horizon's square whose shadow is not empty.
+def _offsets(horizon: int) -> tuple:
+    """The offset of each bit of the horizon's square (see `sight`)."""
+    span = range(-horizon, horizon + 1)
+    return tuple((x, y) for y in span for x in span)
 
-    An offset hides a cell only when it lies strictly between the cell and
-    the position: every offset of the inner square, one cell narrower on
-    each side, except the position's own. That is 8 of 25 at horizon 2,
-    and none at horizon 1.
-    """
-    return tuple(o for o, hidden in _shadows(horizon).items() if hidden)
+
+@lru_cache(maxsize=1024)
+def _square(horizon: int, xs: range, ys: range) -> int:
+    """The mask of the horizon's square clipped to the offsets xs by ys."""
+    side = 2 * horizon + 1
+    row = (1 << len(xs)) - 1 << xs.start + horizon
+    return sum(row << (y + horizon) * side for y in ys)
 
 
 def line_of_sight(env: GridEnvironment, a: Cell, b: Cell) -> bool:
@@ -257,12 +269,58 @@ def line_of_sight(env: GridEnvironment, a: Cell, b: Cell) -> bool:
                    for x, y in _between(b[0] - c, b[1] - r))
 
 
+def sight(env: GridEnvironment, position: Cell, horizon: int) -> int:
+    """The cells in bounds, within the horizon and in line of sight, as a
+    mask over the horizon's square: offset (x, y) from the position is bit
+    `(y + horizon) * (2 * horizon + 1) + x + horizon`.
+
+    It is the square clipped to the grid, less the shadows of the
+    obstacles among the offsets that cast one. Near an edge, where many
+    of those offsets fall off the grid, the clipped square can be the
+    shorter list, and then it is walked instead, as an offset without a
+    shadow hides nothing. Masks are kept in the environment's cache, which
+    its moved copies share.
+    """
+    key = (tuple(position), horizon)
+    mask = env._seen_cache.get(key)
+    if mask is None:
+        c, r = position
+        xs = range(max(-c, -horizon), min(env.width - c, horizon + 1))
+        ys = range(max(-r, -horizon), min(env.height - r, horizon + 1))
+        mask = _square(horizon, xs, ys)
+        shadows, obstacles = _shadows(horizon), env.obstacles
+        offsets = shadows
+        if len(xs) * len(ys) < len(shadows):
+            offsets = [(x, y) for x in xs for y in ys if (x, y) in shadows]
+        for x, y in offsets:
+            if (c + x, r + y) in obstacles:
+                mask &= ~shadows[x, y]
+        env._seen_cache[key] = mask
+    return mask
+
+
+def in_sight(mask: int, horizon: int, x: int, y: int) -> bool:
+    """Whether offset (x, y) from the position is a cell of its `sight`."""
+    return max(abs(x), abs(y)) <= horizon and bool(
+        mask >> (y + horizon) * (2 * horizon + 1) + x + horizon & 1)
+
+
+def restride(mask: int, horizon: int, width: int) -> int:
+    """A `sight` mask with the square's rows `width` bits apart: offset
+    (x, y) at bit `(y + horizon) * width + x + horizon`. Offsets of one
+    row stay distinct when `width` is at least the row's span of cells."""
+    side = 2 * horizon + 1
+    row = (1 << side) - 1
+    return sum((mask >> y * side & row) << y * width for y in range(side))
+
+
 def reward(env: GridEnvironment, position: Cell, goal,
            horizon: int) -> frozenset:
     """Features of the goal visible from the position through the fog.
 
     A feature shows iff the Chebyshev distance stays within both the feature
-    range and the observer horizon, and the sight line is unobstructed.
+    range and the observer horizon, and the goal's cell is in the
+    position's `sight`.
     """
     if isinstance(goal, str):
         goal = env.goal(goal)
@@ -271,11 +329,13 @@ def reward(env: GridEnvironment, position: Cell, goal,
     if cached is not None:
         return cached
     _check_free(env, position, "observer")
-    dist = chebyshev(position, goal.position)
+    x, y = goal.position[0] - position[0], goal.position[1] - position[1]
+    dist = max(abs(x), abs(y))
     value: frozenset = frozenset()
-    if dist <= horizon and line_of_sight(env, position, goal.position):
+    if dist <= horizon and in_sight(sight(env, position, horizon),
+                                    horizon, x, y):
         value = frozenset(name for name, rng in goal.features
-                          if dist <= min(rng, horizon))
+                          if dist <= rng)
     env._reward_cache[key] = value
     return value
 
@@ -294,31 +354,12 @@ def visible_goals(env: GridEnvironment, agent) -> list:
 
 def observed_cells(env: GridEnvironment, position: Cell,
                    horizon: int) -> frozenset:
-    """In-bounds cells within the horizon and in line of sight.
-
-    A cell is hidden when it lies in the shadow of an obstacle. Only the
-    offsets in `_hiders` cast one; near an edge, where many of them fall
-    off the grid, the square clipped to the grid can be the shorter list,
-    and then it is walked instead, as an empty shadow hides nothing.
-    """
-    key = (tuple(position), horizon)
-    cached = env._seen_cache.get(key)
-    if cached is not None:
-        return cached
+    """In-bounds cells within the horizon and in line of sight: the cells
+    of the position's `sight` mask."""
     c, r = position
-    xs = range(max(-c, -horizon), min(env.width - c, horizon + 1))
-    ys = range(max(-r, -horizon), min(env.height - r, horizon + 1))
-    square = [(x, y) for x in xs for y in ys]  # clipped to the grid
-    offsets = _hiders(horizon)
-    if len(square) < len(offsets):
-        offsets = square
-    obstacles, shadows = env.obstacles, _shadows(horizon)
-    hidden = set().union(*[shadows[x, y] for x, y in offsets
-                           if (c + x, r + y) in obstacles])
-    cells = frozenset((c + x, r + y) for x, y in square
-                      if (x, y) not in hidden)
-    env._seen_cache[key] = cells
-    return cells
+    bits = bin(sight(env, position, horizon))[:1:-1]  # lowest bit first
+    return frozenset((c + x, r + y) for (x, y), bit
+                     in zip(_offsets(horizon), bits) if bit == "1")
 
 
 def scout_feature(cell: Cell) -> str:

@@ -5,7 +5,9 @@ Priorities of goal subsets are evaluated in the system phase space as
 goals' facts, and kept in the goal lattice's table for later decision
 cycles. Joint plays are scored in the reward lattice, which sees
 each agent's path only through a signature of its visited cells packed
-into one int, so join, cover and reward are single int operations. The
+into one int, so join, cover and reward are single int operations. A
+cell's sight is one int as well; each search numbers its scout bits on
+frames, one box of cells per cluster of agents whose windows overlap. The
 exact search builds each agent's classes of equal signature in one pass
 over (cell, signature) states, with no predecessors: a class keeps its
 path count and first member, and its other members come from the
@@ -13,8 +15,9 @@ agent's paths as `grid.agent_paths` lists them, on the first read past
 that member. It finds the maximal rewards over the classes that no other
 class covers with per-bit columns over their product, picks the
 dominated classes that may tie them from per-agent columns, and returns
-the plays of the maximal combinations as a lazy sequence, expanded only
-when read past its first play, whose reward it carries.
+the plays of the maximal combinations as a lazy sequence: its length,
+first play and reward come from per-agent vectors of class sizes and
+first members, and the plays are expanded only when read past the first.
 Ties between agents break on desire-lattice vertex weights, then on
 agent order. The simulation loop is receding-horizon: one committed move
 per step, full re-planning after.
@@ -27,7 +30,7 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import combinations, product
+from itertools import combinations, compress, count, islice, product
 from math import comb, prod
 from operator import and_, itemgetter, or_
 from typing import Iterable, Mapping, Sequence
@@ -262,8 +265,44 @@ def _seen_at_start(env: GridEnvironment) -> frozenset:
                                for a in env.agents))
 
 
+def _frames(env: GridEnvironment, reach: int | None) -> list:
+    """Disjoint cell boxes that number the scout bits, as (c0, r0, c1, r1,
+    offset): cell (c, r) of a box is bit `offset + (r - r0) * (c1 - c0 + 1)
+    + c - c0`, and the boxes' bit ranges follow one another.
+
+    With no reach there is one box, the grid. With one, each agent has a
+    window, the box of radius reach plus its horizon around its position,
+    which holds every cell that the agent sees on a path of at most reach
+    steps; windows that overlap are merged into their bounding box until
+    the boxes are pairwise disjoint, so a cell has one bit however many
+    agents see it.
+    """
+    if reach is None:
+        return [(0, 0, env.width - 1, env.height - 1, 0)]
+    boxes: list = []
+    for a in env.agents:
+        (c, r), d = a.position, reach + a.horizon
+        box = (max(c - d, 0), max(r - d, 0),
+               min(c + d, env.width - 1), min(r + d, env.height - 1))
+        while True:
+            hit = next((b for b in boxes if b[0] <= box[2] and box[0] <= b[2]
+                        and b[1] <= box[3] and box[1] <= b[3]), None)
+            if hit is None:
+                break
+            boxes.remove(hit)
+            box = (min(box[0], hit[0]), min(box[1], hit[1]),
+                   max(box[2], hit[2]), max(box[3], hit[3]))
+        boxes.append(box)
+    frames, offset = [], 0
+    for c0, r0, c1, r1 in boxes:
+        frames.append((c0, r0, c1, r1, offset))
+        offset += (c1 - c0 + 1) * (r1 - r0 + 1)
+    return frames
+
+
 class _Encoder:
-    """Path signatures packed into single ints, bits numbered per search.
+    """Path signatures packed into single ints, scout bits numbered on the
+    search's frames.
 
     A signature is all that the reward of a joint play needs from one
     agent's path: the agent's best view of each goal (per-goal mode), or
@@ -272,22 +311,24 @@ class _Encoder:
     them into one int: a slot of `width` bits per goal view, or a single
     slot in positionwise mode, where `width` counts the distinct feature
     names of the goals, numbered up front; the scouted features sit above
-    the slots. A signature is the join of its cells' signatures, so it
-    depends only on the set of cells visited. Join is `|`, and `a` lies
-    within `b` when `a | b == b`; `value` reads the reward off a signature.
-    Building one checks the mode and the goal ids, and without `scouted`
-    takes the cells the agents see at the start as scouted.
+    the slots, one bit per cell of the frames (`_frames`): the grid, or
+    with `reach` the agents' windows of that many steps. A signature is
+    the join of its cells' signatures, so it depends only on the set of
+    cells visited. Join is `|`, and `a` lies within `b` when `a | b == b`;
+    `value` reads the reward off a signature. Building one checks the mode
+    and the goal ids, and without `scouted` takes the cells the agents see
+    at the start as scouted.
     """
 
     def __init__(self, env: GridEnvironment, goal_ids: Sequence[str],
-                 eq1_mode: str, scouted: frozenset | None):
+                 eq1_mode: str, scouted: frozenset | None,
+                 reach: int | None = None):
         check_eq1_mode(eq1_mode)
         known = {g.id for g in env.goals}
         for g in goal_ids:
             if g not in known:
                 raise UnknownGoalId(f"no goal {g!r} in the environment")
         self.env, self.goals = env, [env.goal(g) for g in goal_ids]
-        self.scouted = _seen_at_start(env) if scouted is None else scouted
         self.features: dict = {}  # goal feature name -> bit position
         for g in self.goals:
             for name in g.feature_names():
@@ -301,29 +342,68 @@ class _Encoder:
         slots = len(self.goals) if self.per_goal else 1
         self.shifts = [i * self.width for i in range(slots)]
         self.scout_shift = slots * self.width
-        self.scouts: dict = {}  # scouted cell -> bit position above the slots
+        self.frames = _frames(env, reach)
+        self._strides: dict = {}  # (sight mask, horizon, width) -> restrided
         self._cells: dict = {}  # (cell, horizon) -> signature
+        self.scouted = reduce(or_, [self._seen(a.position, a.horizon)[0]
+                                    for a in env.agents], 0) \
+            if scouted is None else self._mask(scouted)
+
+    def _seen(self, cell, horizon: int) -> tuple:
+        """The cell's sight as frame bits, and as its `grid.sight` mask.
+
+        The frame that holds the cell must hold its sight too, as the
+        frames are built to. The mask's rows, restrided to the frame's
+        width, are shifted to the bit of the square's corner, which lies
+        before the frame's start when the square is clipped there.
+        """
+        mask = grid.sight(self.env, cell, horizon)
+        c, r = cell
+        c0, r0, c1, r1, offset = next(f for f in self.frames if f[0] <= c
+                                      <= f[2] and f[1] <= r <= f[3])
+        width = c1 - c0 + 1
+        key = (mask, horizon, width)
+        spread = self._strides.get(key)
+        if spread is None:
+            spread = self._strides[key] = grid.restride(*key)
+        shift = offset + (r - horizon - r0) * width + c - horizon - c0
+        return (spread << shift if shift >= 0 else spread >> -shift), mask
+
+    def _mask(self, cells) -> int:
+        """The frame bits of the cells; cells outside the frames have none.
+        Each frame walks the shorter of its box and the cells."""
+        mask = 0
+        for c0, r0, c1, r1, offset in self.frames:
+            width = c1 - c0 + 1
+            if width * (r1 - r0 + 1) < len(cells):
+                inside = [(c, r) for r in range(r0, r1 + 1)
+                          for c in range(c0, c1 + 1) if (c, r) in cells]
+            else:
+                inside = [(c, r) for c, r in cells
+                          if c0 <= c <= c1 and r0 <= r <= r1]
+            for c, r in inside:
+                mask |= 1 << offset + (r - r0) * width + c - c0
+        return mask
 
     def _cell(self, cell, horizon: int) -> int:
         """The signature of one cell: its scout bits, then its goal views.
 
-        A goal shows from the cell exactly when its own cell is in the
-        cell's sight set, which holds the cells within the horizon and in
-        line of sight, and then shows the features whose range covers the
-        distance: `grid.reward`, without calling it.
+        The scout bits are its sight's frame bits not yet scouted. A goal
+        shows from the cell exactly when its own cell's bit is set in the
+        cell's `grid.sight` mask, and then shows the features whose range
+        covers the distance: `grid.reward`, without calling it.
         """
         sig = self._cells.get((cell, horizon))
         if sig is None:
-            sig = 0
-            seen = grid.observed_cells(self.env, cell, horizon)
-            for c in seen - self.scouted:
-                sig |= 1 << self.scouts.setdefault(c, len(self.scouts))
-            sig <<= self.scout_shift
+            seen, mask = self._seen(cell, horizon)
+            sig = (seen & ~self.scouted) << self.scout_shift
+            c, r = cell
             views = []
-            for at, features in self.views:
+            for (gc, gr), features in self.views:
                 view = 0
-                if at in seen:
-                    dist = grid.chebyshev(cell, at)
+                x, y = gc - c, gr - r
+                if grid.in_sight(mask, horizon, x, y):
+                    dist = max(abs(x), abs(y))
                     for bit, rng in features:
                         if dist <= rng:
                             view |= bit
@@ -342,26 +422,35 @@ class _Encoder:
             sig |= self._cell(c, agent.horizon)
         return sig
 
-    def value(self, sig: int) -> int:
-        """Reward bits: the goal features, then the scouted features.
+    def values(self, sigs: list) -> list:
+        """Reward bits of each signature: the goal features, then the
+        scouted features.
 
         The meet of the goal slots, below the scout bits shifted down to
-        sit right above it; with one slot or none, the signature itself.
+        sit right above it, taken with one comprehension per slot; with one
+        slot or none, the signatures themselves.
         """
         if len(self.shifts) < 2:
-            return sig
-        meet = (1 << self.width) - 1
-        for shift in self.shifts:
-            meet &= sig >> shift
-        return sig >> self.scout_shift << self.width | meet
+            return sigs
+        meets = [sig & (1 << self.width) - 1 for sig in sigs]
+        for shift in self.shifts[1:]:
+            meets = [meet & sig >> shift for meet, sig in zip(meets, sigs)]
+        return [sig >> self.scout_shift << self.width | meet
+                for sig, meet in zip(sigs, meets)]
+
+    def value(self, sig: int) -> int:
+        return self.values([sig])[0]
 
     def maxima(self, groups: list) -> tuple:
         """The maximal combinations of the agents' tops, and their ties.
 
         `groups[k]` lists agent k's member lists, each headed by its top
-        signature. `found` holds (combination, value) for each combination
-        of tops, in `product` order, whose value no other covers. `ties`
-        maps such a combination to (kept, value) when some member ties it:
+        signature. Combination i of the tops joins, for each agent, its top
+        at digit i of the mixed radix of the agents' top counts, the last
+        agent's digit lowest: `product` order. `values` lists the value of
+        each combination in that order, and `best` is the set of values
+        that no other covers. `ties` maps a combination i of a value in
+        `best` to (kept, value) when some member ties it:
         per agent, the top and then the members of its list, in list
         order, whose join with the other agents' tops still has that value.
 
@@ -391,7 +480,7 @@ class _Encoder:
         joins = [0]
         for sigs in tops:
             joins = [j | s for j in joins for s in sigs]
-        values = list(map(self.value, joins))
+        values = self.values(joins)
         n = len(values)
         count = Counter(values)
         every = (1 << n) - 1
@@ -450,9 +539,7 @@ class _Encoder:
                 best.add(v)
                 maximal |= marks
 
-        found = [(top, v) for top, v in zip(product(*tops), values)
-                 if v in best]
-        ties: dict = {}  # maximal combination -> (kept, value)
+        ties: dict = {}  # index of a maximal combination -> (kept, value)
         tested = ~0 if len(self.shifts) < 2 else -1 << self.scout_shift
         for k, gs in enumerate(groups):
             others: dict = {}  # bit -> where another agent's top holds it
@@ -476,16 +563,23 @@ class _Encoder:
                                     for sigs, stride in zip(tops, strides))
                         if self.value(s | reduce(or_, top[:k] + top[k + 1:],
                                                  0)) == values[i]:
-                            ties.setdefault(top, ([[m] for m in top],
-                                                  values[i]))[0][k].append(s)
-        return found, ties
+                            ties.setdefault(i, ([[m] for m in top],
+                                                values[i]))[0][k].append(s)
+        return values, best, ties
 
     def decode(self, value: int) -> frozenset:
+        names = [name for name, bit in self.features.items()
+                 if value >> bit & 1]
         scouts = value >> self.width
-        return frozenset(
-            [name for name, bit in self.features.items() if value >> bit & 1]
-            + [scout_feature(c) for c, bit in self.scouts.items()
-               if scouts >> bit & 1])
+        for c0, r0, c1, r1, offset in self.frames:
+            width = c1 - c0 + 1
+            part = scouts >> offset & (1 << width * (r1 - r0 + 1)) - 1
+            while part:
+                bit = part.bit_length() - 1
+                names.append(scout_feature((c0 + bit % width,
+                                            r0 + bit // width)))
+                part ^= 1 << bit
+        return frozenset(names)
 
 
 def _maximal(values) -> set:
@@ -560,8 +654,21 @@ def check_eq1_mode(eq1_mode: str) -> None:
         raise PlannerError(f"unknown eq1 mode {eq1_mode!r}")
 
 
-def check_step_bound(max_steps: int) -> None:
-    """Reject a simulation longer than the step bound."""
+def check_run_limits(depth: int, agent_count: int, eq1_mode: str, *,
+                     subset_cap: int | None = None, patience: int = 1,
+                     max_steps: int = 0) -> None:
+    """Reject a planner setting out of range, checked in this order: the
+    search bounds, the mode, the subset cap, patience, and the step count
+    against 0 and against SIMULATE_STEP_BOUND. Scenario validation,
+    `plan_once` and `simulate` call it before any other work."""
+    check_search_bounds(depth, agent_count)
+    check_eq1_mode(eq1_mode)
+    if subset_cap is not None and subset_cap < 1:
+        raise PlannerError(f"subset cap {subset_cap} must be >= 1")
+    if patience < 1:
+        raise PlannerError(f"patience {patience} must be >= 1")
+    if max_steps < 0:
+        raise PlannerError(f"max steps {max_steps} must be >= 0")
     if max_steps > SIMULATE_STEP_BOUND:
         raise TooManySteps(f"max steps {max_steps} exceed the bound"
                            f" {SIMULATE_STEP_BOUND}")
@@ -667,7 +774,7 @@ def _agent_classes(enc: _Encoder, agent, depth: int, base: int,
 def _expand_plays(agent_ids: tuple, combos: list) -> list:
     """Every play of the class combinations, in order of their keys."""
     keyed = []
-    for members, _ in combos:
+    for members in combos:
         shares = product(*([share for _, share in m] for m in members))
         paths = product(*([cells for cells, _ in m] for m in members))
         keyed.extend(zip(map(sum, shares), paths))
@@ -676,27 +783,16 @@ def _expand_plays(agent_ids: tuple, combos: list) -> list:
 
 
 class MaximalPlays(_Lazy):
-    """Read-only sequence of the reward-maximal joint plays, in order.
+    """Read-only sequence of the reward-maximal joint plays, in order,
+    with the first play's decoded value as `reward`.
 
-    It holds the maximal class combinations, each a list of per-agent
-    member sequences of (cells, share), sorted by share (see
-    `_agent_classes`), and its value. `len` sums the products of the
-    member counts. `[0]` needs no expansion: a play's key is the sum of
-    its agents' shares, so the smallest play of a product of per-agent
-    path sets joins each agent's own smallest path, and `[0]` is the least
-    combination of first members, found up front; `reward` is its decoded
-    value. So only the members' `len` and `[0]` are read up front. Any
-    other read expands and sorts every play once and keeps the list.
+    `len`, `[0]` and `reward` are given up front. Any other read calls
+    `listing` once, which expands and sorts every play.
     """
 
-    def __init__(self, agent_ids, combos: list, decode):
-        agent_ids = tuple(agent_ids)
-        first, value = min(combos, key=lambda combo: sum(
-            [m[0][1] for m in combo[0]]))
-        super().__init__(sum(prod(map(len, ms)) for ms, _ in combos),
-                         dict(zip(agent_ids, (m[0][0] for m in first))),
-                         partial(_expand_plays, agent_ids, combos))
-        self.reward: frozenset = decode(value)
+    def __init__(self, size: int, first: dict, listing, reward: frozenset):
+        super().__init__(size, first, listing)
+        self.reward = reward
 
 
 def choose_play(env: GridEnvironment, spec: GoalLatticeSpec,
@@ -722,12 +818,19 @@ def choose_play(env: GridEnvironment, spec: GoalLatticeSpec,
     agents' tops, still has the maximal value. `_Encoder.maxima` keeps
     only the members that pass this, testing just the candidates its
     columns leave, and only combinations of kept members are scored.
+
     The result is a lazy `MaximalPlays` over those combinations: joint
     plays (agent id to cells, start excluded) in lexicographic order of
-    their interleaved move indices.
+    their interleaved move indices. A play's key is the sum of its agents'
+    shares, so a combination's smallest play joins its classes' first
+    members. The tops' class sizes and first shares, multiplied and
+    summed over the tops' product in `maxima`'s order, give each maximal
+    combination's play count and smallest key, and the ties add theirs;
+    the combinations' member lists are built only when a later play is
+    read.
     """
     check_search_bounds(depth, len(env.agents))
-    enc = _Encoder(env, chosen_goals, eq1_mode, scouted)
+    enc = _Encoder(env, chosen_goals, eq1_mode, scouted, depth)
     for g in chosen_goals:
         spec.fact_of(g)
 
@@ -735,19 +838,36 @@ def choose_play(env: GridEnvironment, spec: GoalLatticeSpec,
     per_agent = [_agent_classes(enc, a, depth, 5 ** n, 5 ** (n - 1 - i))
                  for i, a in enumerate(env.agents)]
     groups = [_by_dominance(list(classes)) for classes in per_agent]
-    found, ties = enc.maxima([list(g.values()) for g in groups])
-    value = enc.value
-
-    def members(combo) -> list:
-        return [classes[sig] for classes, sig in zip(per_agent, combo)]
-
-    combos = [(members(top), best) for top, best in found]
-    for kept, best in ties.values():
+    values, best, ties = enc.maxima([list(g.values()) for g in groups])
+    maximal = list(map(best.__contains__, values))
+    heads = [[classes[top] for top in g]
+             for classes, g in zip(per_agent, groups)]
+    sizes, keys = [1], [0]
+    for hs in heads:
+        counts, shares = [len(h) for h in hs], [h[0][1] for h in hs]
+        sizes = [size * count for size in sizes for count in counts]
+        keys = [key + share for key in keys for share in shares]
+    size = sum(compress(sizes, maximal))
+    key, i = min(compress(zip(keys, count()), maximal))
+    first, reward = next(islice(product(*heads), i, None)), values[i]
+    tied = []  # the classes of each other combination of kept members
+    for kept, value in ties.values():
         others = product(*kept)
-        next(others)  # the maximal combination itself, already in found
-        combos.extend((members(combo), best) for combo in others
-                      if value(reduce(or_, combo, 0)) == best)
-    return MaximalPlays([a.id for a in env.agents], combos, enc.decode)
+        next(others)  # the maximal combination itself, counted above
+        for combo in others:
+            if enc.value(reduce(or_, combo, 0)) == value:
+                tied.append(classes := [c[sig] for c, sig in
+                                        zip(per_agent, combo)])
+                size += prod(map(len, classes))
+                share = sum([c[0][1] for c in classes])
+                if share < key:
+                    key, first, reward = share, classes, value
+    agent_ids = tuple(a.id for a in env.agents)
+    return MaximalPlays(
+        size, dict(zip(agent_ids, (c[0][0] for c in first))),
+        lambda: _expand_plays(
+            agent_ids, list(compress(product(*heads), maximal)) + tied),
+        enc.decode(reward))
 
 
 @dataclass(frozen=True)
@@ -850,8 +970,7 @@ def plan_once(env: GridEnvironment, spec: GoalLatticeSpec,
               subset_cap: int | None = None,
               eq1_mode: str = "per-goal") -> ItineraryPlan:
     """Select intentions, assign agents, and pick the maximal joint play."""
-    check_search_bounds(depth, len(env.agents))
-    check_eq1_mode(eq1_mode)
+    check_run_limits(depth, len(env.agents), eq1_mode, subset_cap=subset_cap)
     movement_ids = [a.movement_goal_id for a in env.agents]
 
     def filter_reachable(goal_id: str) -> bool:
@@ -947,9 +1066,8 @@ def simulate(env: GridEnvironment, spec: GoalLatticeSpec,
     achievement, or newly scouted cell) occurs for `patience` consecutive
     steps, or at max_steps, which may not exceed SIMULATE_STEP_BOUND.
     """
-    check_step_bound(max_steps)
-    check_search_bounds(depth, len(env.agents))
-    check_eq1_mode(eq1_mode)
+    check_run_limits(depth, len(env.agents), eq1_mode, subset_cap=subset_cap,
+                     patience=patience, max_steps=max_steps)
     for a in env.agents:
         spec.fact_of(a.movement_goal_id)
     positions = {a.id: a.position for a in env.agents}

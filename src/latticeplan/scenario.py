@@ -34,9 +34,7 @@ from .planner import (
     PlannerError,
     build_desire_lattice,
     build_goal_lattice_spec,
-    check_eq1_mode,
-    check_search_bounds,
-    check_step_bound,
+    check_run_limits,
 )
 
 
@@ -311,15 +309,9 @@ def _check_cross_references(raw: RawScenario, env: GridEnvironment,
 
 def _check_planner(raw: RawScenario, env: GridEnvironment) -> None:
     cfg = raw.planner
-    check_search_bounds(cfg.depth, len(env.agents))
-    check_eq1_mode(cfg.eq1_mode)
-    if cfg.subset_cap is not None and cfg.subset_cap < 1:
-        raise PlannerError(f"subset cap {cfg.subset_cap} must be >= 1")
-    if cfg.patience < 1:
-        raise PlannerError(f"patience {cfg.patience} must be >= 1")
-    if cfg.max_steps < 0:
-        raise PlannerError(f"max steps {cfg.max_steps} must be >= 0")
-    check_step_bound(cfg.max_steps)
+    check_run_limits(cfg.depth, len(env.agents), cfg.eq1_mode,
+                     subset_cap=cfg.subset_cap, patience=cfg.patience,
+                     max_steps=cfg.max_steps)
 
 
 def _run_checks(raw: RawScenario, rows: list | None) -> Scenario:

@@ -211,6 +211,36 @@ class TestReward:
             if chebyshev(p, (4, 4)) <= chebyshev(q, (4, 4)):
                 assert reward(env, q, "g1", 7) <= reward(env, p, "g1", 7)
 
+    def test_matches_a_line_of_sight_formula(self):
+        """Seeded grids up to 16x16, horizons 0-16, ranges 0 to horizon + 2,
+        every free observer cell: a feature shows exactly when the distance
+        is within its range and the horizon and `line_of_sight` holds."""
+        kinds = set()
+        for seed in range(24):
+            rng = random.Random(seed)
+            width, height = rng.randint(1, 16), rng.randint(1, 16)
+            cells = [(c, r) for c in range(width) for r in range(height)]
+            goal_at = rng.choice(cells)
+            obstacles = [cell for cell in cells
+                         if cell != goal_at and rng.random() < 0.25]
+            horizon = rng.randint(0, HORIZON_BOUND)
+            features = [(name, rng.randint(0, horizon + 2))
+                        for name in ("p", "q", "r")]
+            env = make_env(width, height, obstacles, [],
+                           [GoalObject("g1", goal_at, tuple(features))])
+            for cell in cells:
+                if cell in env.obstacles:
+                    continue
+                dist = chebyshev(cell, goal_at)
+                sight = dist <= horizon and line_of_sight(env, cell, goal_at)
+                expected = {name for name, reach in features
+                            if sight and dist <= reach}
+                assert reward(env, cell, "g1", horizon) == expected, (
+                    seed, cell)
+                kinds.add("seen" if sight else
+                          "hidden" if dist <= horizon else "far")
+        assert kinds == {"seen", "hidden", "far"}
+
 
 class TestVisibleGoals:
     def test_no_goals(self):

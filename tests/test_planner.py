@@ -786,8 +786,10 @@ class TestColumnMaxima:
             values = [enc.value(reduce(or_, combo, 0))
                       for combo in product(*tops)]
             best = planner_module._maximal(values)
-            found, ties = enc.maxima([[[s] for s in sigs] for sigs in tops])
-            assert found == [
+            got, maxima, ties = enc.maxima([[[s] for s in sigs]
+                                             for sigs in tops])
+            assert [(combo, v) for combo, v in zip(product(*tops), got)
+                    if v in maxima] == [
                 (combo, v) for combo, v in zip(product(*tops), values)
                 if v in best], seed
             assert ties == {}, seed
@@ -809,6 +811,14 @@ def filtered_members(enc, groups, found):
     return out
 
 
+def by_combination(groups, values, best, ties):
+    """`maxima`'s answer as (tops, value) for each maximal combination, in
+    `product` order, and its ties keyed by tops, not by index."""
+    combos = list(product(*([m[0] for m in gs] for gs in groups)))
+    return ([(combo, v) for combo, v in zip(combos, values) if v in best],
+            {combos[i]: tie for i, tie in ties.items()})
+
+
 class TestTieCandidates:
     def test_kept_members_match_the_per_member_scan(self):
         """Seeded tops with dominated members for 1-3 agents, in both
@@ -826,7 +836,7 @@ class TestTieCandidates:
                 groups.append([[t] + sorted({t & rng.randrange(bound)
                                              for _ in range(4)} - {t})
                                for t in tops])
-            found, ties = enc.maxima(groups)
+            found, ties = by_combination(groups, *enc.maxima(groups))
             expected = filtered_members(enc, groups, found)
             for top, best in found:
                 kept, value = ties.get(top, ([[t] for t in top], best))
@@ -1003,24 +1013,27 @@ class TestChoosePlayOracleDepthThree:
         assert ties > 0
 
     def test_each_tie_candidate_scored_once(self, monkeypatch):
-        """`value` runs once per combination of tops (the maxima), once
-        per column candidate, and once per other combination of the kept
-        members; the maximal combination itself is not scored again. A
-        member is a column candidate of a maximal combination when each
-        bit its top holds and it lacks is held by another agent's top in
-        the combination, counting scout bits only with two or more goal
+        """A signature is scored (through `values`, which `value` calls)
+        once per combination of tops (the maxima), once per column
+        candidate, and once per other combination of the kept members;
+        the maximal combination itself is not scored again. A member is a
+        column candidate of a maximal combination when each bit its top
+        holds and it lacks is held by another agent's top in the
+        combination, counting scout bits only with two or more goal
         slots."""
-        value, maxima = (planner_module._Encoder.value,
-                         planner_module._Encoder.maxima)
+        values, maxima = (planner_module._Encoder.values,
+                          planner_module._Encoder.maxima)
         calls, found = [], []
 
         def spy_maxima(enc, groups):
             calls.clear()
-            found.append((enc, groups, maxima(enc, groups)))
-            return found[-1][2]
+            out = maxima(enc, groups)
+            found.append((enc, groups, by_combination(groups, *out)))
+            return out
 
-        monkeypatch.setattr(planner_module._Encoder, "value",
-                            lambda enc, sig: calls.append(sig) or value(enc, sig))
+        monkeypatch.setattr(planner_module._Encoder, "values",
+                            lambda enc, sigs: calls.extend(sigs)
+                            or values(enc, sigs))
         monkeypatch.setattr(planner_module._Encoder, "maxima", spy_maxima)
         spec = system_spec()
         rejected = tied = 0
@@ -1048,6 +1061,102 @@ class TestChoosePlayOracleDepthThree:
                     tied += 1
                 assert scored == expected, (k, mode)
         assert rejected > 0 and tied > 0
+
+
+def windows_env(rng, agents, depth, relation):
+    """Agents along a row, with a random row each, whose windows (radius
+    depth plus horizon) are disjoint, touch, or overlap by one column,
+    on a grid that clips them at random; obstacles away from the agents."""
+    horizon = rng.randint(0, 1)
+    reach = depth + horizon
+    gap = {"disjoint": 2 * reach + 2, "touching": 2 * reach + 1,
+           "overlap": 2 * reach}[relation]
+    margin = rng.randint(0, reach)
+    starts = [(margin + i * gap, rng.randint(0, 2)) for i in range(agents)]
+    width, height = starts[-1][0] + 1 + rng.randint(0, reach), 3
+    obstacles = [(c, r) for c in range(width) for r in range(height)
+                 if (c, r) not in starts and rng.random() < 0.15]
+    free = [(c, r) for c in range(width) for r in range(height)
+            if (c, r) not in obstacles]
+    goals = [GoalObject(gid, rng.choice(free),
+                        tuple((name, rng.randint(0, 2))
+                              for name in rng.sample(["far", "mid", "near"],
+                                                     rng.randint(1, 3))))
+             for gid in ("b1", "b2")]
+    return build_environment(
+        width, height, obstacles,
+        [AgentState(f"agent-{i + 1}", cell, horizon, f"a{i + 1}")
+         for i, cell in enumerate(starts)], goals)
+
+
+class TestFrames:
+    def test_windows_disjoint_touching_or_overlapping(self):
+        """Seeded 2- and 3-agent grids at depths 1-3 (2 agents) and 1-2 (3
+        agents), in both modes: the plays are the brute-force ones, the
+        frames are one per agent unless the windows overlap, and a cell
+        that two agents' paths see newly is one scout bit of the play's
+        join, as the scout features of its reward count them."""
+        spec = system_spec()
+        shared = 0
+        cases = [(agents, depth, relation)
+                 for agents, depths in ((2, (1, 2, 3)), (3, (1, 2)))
+                 for depth in depths
+                 for relation in ("disjoint", "touching", "overlap")]
+        for k, (agents, depth, relation) in enumerate(cases):
+            rng = random.Random(9800 + k)
+            env = windows_env(rng, agents, depth, relation)
+            goals = rng.sample(["b1", "b2"], rng.randint(0, 2))
+            for mode in EQ1_MODES:
+                where = (k, agents, depth, relation, mode)
+                got = choose_play(env, spec, goals, depth, eq1_mode=mode)
+                assert list(got) == brute_force_plays(env, goals, depth,
+                                                      mode), where
+                assert got.reward == play_reward(env, got[0], goals,
+                                                 eq1_mode=mode), where
+                enc = planner_module._Encoder(env, goals, mode, None, depth)
+                assert len(enc.frames) == (
+                    1 if relation == "overlap" else agents), where
+                start = enc.scouted
+                for play in got:
+                    seen = [enc.signature(a, (a.position,) + play[a.id])
+                            >> enc.scout_shift for a in env.agents]
+                    join = reduce(or_, seen)
+                    scouts = [name for name in enc.decode(enc.value(
+                        join << enc.scout_shift))
+                        if name.startswith(grid.SCOUT_PREFIX)]
+                    assert len(scouts) == join.bit_count(), where
+                    assert join & start == 0, where
+                    shared += any(a & b for a, b in combinations(seen, 2))
+        assert shared > 0
+
+    def test_scout_bits_fit_the_clusters_on_a_wide_grid(self, monkeypatch):
+        """On a 256x256 grid with agents in opposite corners, every cell
+        signature's scout part fits in the two clusters' box areas."""
+        cells = []
+        cell = planner_module._Encoder._cell
+
+        def spy(enc, *args):
+            cells.append((enc, cell(enc, *args)))
+            return cells[-1][1]
+
+        monkeypatch.setattr(planner_module._Encoder, "_cell", spy)
+        agents = [AgentState("agent-1", (1, 2), 2, "a1"),
+                  AgentState("agent-2", (3, 1), 2, "a2"),
+                  AgentState("agent-3", (250, 250), 2, "a3")]
+        feats = (("far", 3), ("mid", 2), ("near", 1))
+        env = build_environment(256, 256, [(2, 2), (249, 251)], agents,
+                                [GoalObject("b1", (4, 4), feats),
+                                 GoalObject("b2", (252, 250), feats)])
+        for mode in EQ1_MODES:
+            cells.clear()
+            choose_play(env, system_spec(), ["b1", "b2"], 3, eq1_mode=mode)
+            enc = cells[0][0]
+            boxes = [(c1 - c0 + 1) * (r1 - r0 + 1)
+                     for c0, r0, c1, r1, _ in enc.frames]
+            assert boxes == [9 * 8, 11 * 11], mode
+            assert all(sig >> enc.scout_shift < 1 << sum(boxes)
+                       for _, sig in cells), mode
+            assert all(e is enc for e, _ in cells), mode
 
 
 def share(idxs, agent, agents):
@@ -1087,8 +1196,15 @@ def reference_kernel(env, goal_ids, depth, eq1_mode):
               for top, best in values.items() if best in maxima
               for combo in product(*(g[sig] for g, sig in zip(groups, top)))
               if enc.value(reduce(or_, combo, 0)) == best]
-    return planner_module.MaximalPlays([a.id for a in env.agents], combos,
-                                       enc.decode)
+    agent_ids = [a.id for a in env.agents]
+    first, best = min(combos, key=lambda combo: sum(
+        [m[0][1] for m in combo[0]]))
+    return planner_module.MaximalPlays(
+        sum(prod(map(len, ms)) for ms, _ in combos),
+        dict(zip(agent_ids, (m[0][0] for m in first))),
+        lambda: planner_module._expand_plays(agent_ids,
+                                             [ms for ms, _ in combos]),
+        enc.decode(best))
 
 
 class TestChoosePlayDepthFour:
@@ -1411,6 +1527,20 @@ class TestPlanOnce:
         assert all(len(p) == 2 for p in plan.plays.values())
         assert plan.alternates[0] == plan.plays
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_subset_cap_below_one_before_any_work(self, monkeypatch, cap):
+        """A cap that scenario validation refuses fails at once, with its
+        class and text; it used to choose no goal."""
+        calls = []
+        monkeypatch.setattr(grid, "reachable",
+                            lambda *args: calls.append(args) or True)
+        with pytest.raises(PlannerError) as info:
+            plan_once(walkthrough_env(), system_spec(), walkthrough_desires(),
+                      discovered=["b1", "b2"], depth=0, subset_cap=cap)
+        assert type(info.value) is PlannerError
+        assert str(info.value) == f"subset cap {cap} must be >= 1"
+        assert calls == []
+
     def test_tie_break_prefers_score_then_size_then_order(self):
         # subset scores: b1 and b2 1/2, b3 1/4, {b1,b2} 1, {b1,b3} and
         # {b2,b3} 3/4, {b1,b2,b3} 5/4; maxima are listed smallest first,
@@ -1680,6 +1810,26 @@ class TestSimulate:
             simulate(env, spec, desires, depth=9, max_steps=0)
         with pytest.raises(PlannerError, match="unknown eq1 mode 'bogus'"):
             simulate(env, spec, desires, max_steps=0, eq1_mode="bogus")
+
+    @pytest.mark.parametrize("limits, message", [
+        ({"max_steps": -1}, "max steps -1 must be >= 0"),
+        ({"patience": -2}, "patience -2 must be >= 1"),
+        ({"patience": 0}, "patience 0 must be >= 1"),
+        ({"subset_cap": 0}, "subset cap 0 must be >= 1")])
+    def test_run_limits_before_any_work(self, monkeypatch, limits, message):
+        """The limits scenario validation refuses fail at once, with its
+        class and text, before the first perception or plan."""
+        calls = []
+        monkeypatch.setattr(planner_module, "plan_once",
+                            lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(grid, "visible_goals",
+                            lambda *args: calls.append(args) or [])
+        with pytest.raises(PlannerError) as info:
+            simulate(walkthrough_env(), system_spec(), walkthrough_desires(),
+                     **limits)
+        assert type(info.value) is PlannerError
+        assert str(info.value) == message
+        assert calls == []
 
     def test_walled_in_no_goals_ends_by_patience(self):
         agents = [AgentState("a", (1, 1), 1, "m")]
