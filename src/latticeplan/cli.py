@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import grid
 from .errors import LatticePlanError, LimitExceeded
@@ -180,8 +179,8 @@ def _apply_overrides(raw: RawScenario, args) -> RawScenario:
     """Set the command-line planner overrides before validation sees them."""
     given = {name: getattr(args, name, None)
              for name in ("depth", "max_steps", "eq1_mode")}
-    raw.planner = replace(raw.planner, **{name: value for name, value
-                                          in given.items() if value is not None})
+    raw.planner = raw.planner._replace(**{
+        name: value for name, value in given.items() if value is not None})
     return raw
 
 

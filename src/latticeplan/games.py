@@ -8,8 +8,7 @@ meet combines payoffs under the tensor product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, NamedTuple
 
 from .errors import LatticePlanError
 
@@ -82,16 +81,16 @@ class SetPayoffs:
 SET_PAYOFFS = SetPayoffs()
 
 
-@dataclass(eq=False)
 class ConwayGame:
-    """A rooted polarized graph, optionally with lattice-valued payoffs."""
+    """A rooted polarized graph, optionally with lattice-valued payoffs;
+    equal only to itself (`graph_equal` compares structure)."""
 
-    vertices: frozenset
-    root: Vertex
-    edges: frozenset
-    payoff: dict | None = None
-    payoff_lattice: object | None = None
-    _out: dict = field(default_factory=dict, repr=False)
+    def __init__(self, vertices: frozenset, root: Vertex, edges: frozenset,
+                 payoff: dict | None, payoff_lattice: object | None,
+                 out: dict):
+        self.vertices, self.root, self.edges = vertices, root, edges
+        self.payoff, self.payoff_lattice = payoff, payoff_lattice
+        self._out = out
 
     def moves_from(self, vertex: Vertex) -> tuple:
         return self._out.get(vertex, ())
@@ -155,9 +154,8 @@ def build_game(vertices: Iterable[Vertex], root: Vertex,
         for v in pay:
             if v not in vset:
                 raise InvalidGame(f"payoff assigned to unknown vertex {v!r}")
-    return ConwayGame(vertices=vset, root=root, edges=eset, payoff=pay,
-                      payoff_lattice=payoff_lattice if pay is not None else None,
-                      _out=out)
+    return ConwayGame(vset, root, eset, pay,
+                      payoff_lattice if pay is not None else None, out)
 
 
 def graph_equal(g: ConwayGame, h: ConwayGame) -> bool:
@@ -167,21 +165,29 @@ def graph_equal(g: ConwayGame, h: ConwayGame) -> bool:
             and g.payoff_lattice is h.payoff_lattice)
 
 
-@dataclass(frozen=True)
 class Play:
-    """A path of moves from the root of one game."""
+    """A path of moves from the root of one game, equal to the plays of
+    the same game and moves."""
 
-    game: ConwayGame
-    moves: tuple
+    __slots__ = ("game", "moves")
 
-    def __post_init__(self):
-        at = self.game.root
-        for e in self.moves:
-            if e not in self.game.edges:
+    def __init__(self, game: ConwayGame, moves: tuple):
+        at = game.root
+        for e in moves:
+            if e not in game.edges:
                 raise NotAPlay(f"move {e!r} is not an edge of the game")
             if e[0] != at:
                 raise NotAPlay(f"move {e!r} does not continue from {at!r}")
             at = e[1]
+        self.game, self.moves = game, moves
+
+    def __eq__(self, other):
+        if other.__class__ is not Play:
+            return NotImplemented
+        return self.game is other.game and self.moves == other.moves
+
+    def __hash__(self) -> int:
+        return hash((self.game, self.moves))
 
     def __len__(self) -> int:
         return len(self.moves)
@@ -194,8 +200,7 @@ class Play:
         return Play(self.game, self.moves[:length])
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(NamedTuple):
     """A validated set of plays for one game."""
 
     game: ConwayGame

@@ -15,7 +15,6 @@ before any work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -89,24 +88,23 @@ def _reach(rows: list[int]) -> list[int]:
     return rows
 
 
-@dataclass(frozen=True, eq=False)
 class FiniteLattice:
     """A validated finite lattice: the element index, each element's up-set
     and down-set as bitmasks, and the element each up-set and down-set
     belongs to.
 
-    Instances are immutable once built; construct them through verify_poset.
+    Instances are immutable once built and equal only to themselves;
+    construct them through verify_poset.
     """
 
-    elements: tuple[str, ...]
-    top: str
-    bottom: str
-    generators: tuple[str, ...]
-    _index: dict[str, int] = field(repr=False)
-    _up: tuple[int, ...] = field(repr=False)
-    _down: tuple[int, ...] = field(repr=False)
-    _by_up: dict[int, str] = field(repr=False)
-    _by_down: dict[int, str] = field(repr=False)
+    def __init__(self, elements: tuple[str, ...], top: str, bottom: str,
+                 generators: tuple[str, ...], index: dict[str, int],
+                 up: tuple[int, ...], down: tuple[int, ...],
+                 by_up: dict[int, str], by_down: dict[int, str]):
+        self.elements, self.top, self.bottom = elements, top, bottom
+        self.generators, self._index = generators, index
+        self._up, self._down = up, down
+        self._by_up, self._by_down = by_up, by_down
 
     def __contains__(self, element: str) -> bool:
         return element in self._index
@@ -224,17 +222,9 @@ def verify_poset(elements: Sequence[str],
             raise ForeignElement(f"generator {g!r} is not an element")
 
     everything = (1 << len(elems)) - 1
-    lattice = FiniteLattice(
-        elements=elems,
-        top=by_down[everything],
-        bottom=by_up[everything],
-        generators=gens,
-        _index=index,
-        _up=tuple(up),
-        _down=tuple(down),
-        _by_up=by_up,
-        _by_down=by_down,
-    )
+    lattice = FiniteLattice(elems, by_down[everything], by_up[everything],
+                            gens, index, tuple(up), tuple(down), by_up,
+                            by_down)
     if generators is not None and not generators_closure(lattice, gens):
         raise NotGenerating(f"generators {sorted(gens)} do not reach every element")
     return lattice

@@ -8,8 +8,7 @@ immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import LatticePlanError, LimitExceeded
 from .lattice import subset_id
@@ -61,16 +60,16 @@ class WrongExtremes(PhaseError):
     pass
 
 
-@dataclass(eq=False)
 class PhaseSpace:
-    """A finite commutative monoid with a designated false subset."""
+    """A finite commutative monoid with a designated false subset; equal
+    only to itself."""
 
-    carrier: tuple[str, ...]
-    product_table: dict[tuple[str, str], str] = field(repr=False)
-    unit: str
-    false_members: frozenset[str]
-    _dual_cache: dict[frozenset[str], frozenset[str]] = field(
-        default_factory=dict, repr=False)
+    def __init__(self, carrier: tuple[str, ...],
+                 product_table: dict[tuple[str, str], str], unit: str,
+                 false_members: frozenset[str]):
+        self.carrier, self.product_table = carrier, product_table
+        self.unit, self.false_members = unit, false_members
+        self._dual_cache: dict[frozenset[str], frozenset[str]] = {}
 
     def mul(self, x: str, y: str) -> str:
         return self.product_table[(x, y)]
@@ -102,8 +101,7 @@ class PhaseSpace:
         return closure(MonoidSubset(self, self.false_members))
 
 
-@dataclass(frozen=True)
-class MonoidSubset:
+class MonoidSubset(NamedTuple):
     """A subset of one phase space's carrier."""
 
     space: PhaseSpace
@@ -255,8 +253,7 @@ def enumerate_facts(space: PhaseSpace) -> list[MonoidSubset]:
     return facts
 
 
-@dataclass(frozen=True)
-class OpClPartition:
+class OpClPartition(NamedTuple):
     """Dual classes of open and closed facts with their closure properties."""
 
     space: PhaseSpace

@@ -27,13 +27,12 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import combinations, compress, count, islice, product
 from math import comb, prod
 from operator import and_, itemgetter, or_
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import LatticePlanError, LimitExceeded
 from .lattice import (
@@ -101,22 +100,23 @@ class InvalidDesires(PlannerError):
     pass
 
 
-@dataclass(eq=False)
 class GoalLatticeSpec:
-    """System goal lattice: a phase space plus the goal-to-fact map.
+    """System goal lattice: a phase space plus the goal-to-fact map; equal
+    only to itself.
 
-    `_table` keeps each priority the planner evaluates, for every later
-    decision cycle: a (movement-fact multiset, goal-fact multiset) pair,
-    each the sorted tuple of its facts' names, maps to its priority.
+    `names` maps every fact's members to its display name, and `facts` is
+    in enumerate_facts order. `_table` keeps each priority the planner
+    evaluates, for every later decision cycle: a (movement-fact multiset,
+    goal-fact multiset) pair, each the sorted tuple of its facts' names,
+    maps to its priority.
     """
 
-    phase: PhaseSpace
-    goal_map: dict
-    names: dict  # every fact's members -> its display name
-    lattice: FiniteLattice = field(repr=False)
-    target_names: tuple
-    facts: tuple = field(repr=False)  # in enumerate_facts order
-    _table: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, phase: PhaseSpace, goal_map: dict, names: dict,
+                 lattice: FiniteLattice, target_names: tuple, facts: tuple):
+        self.phase, self.goal_map, self.names = phase, goal_map, names
+        self.lattice, self.target_names = lattice, target_names
+        self.facts = facts
+        self._table: dict = {}
 
     def fact_name(self, fact: MonoidSubset) -> str:
         return self.names[fact.members]
@@ -870,8 +870,7 @@ def choose_play(env: GridEnvironment, spec: GoalLatticeSpec,
         enc.decode(reward))
 
 
-@dataclass(frozen=True)
-class DesireLattice:
+class DesireLattice(NamedTuple):
     """An agent's desire lattice with its marked intention."""
 
     lattice: FiniteLattice
@@ -950,8 +949,7 @@ def assign_agents(env: GridEnvironment, goals: Sequence[str],
     return assignment
 
 
-@dataclass(frozen=True)
-class ItineraryPlan:
+class ItineraryPlan(NamedTuple):
     """One planning cycle's outcome."""
 
     chosen_goals: tuple
@@ -1009,8 +1007,7 @@ def plan_once(env: GridEnvironment, spec: GoalLatticeSpec,
         total_reward=maxima.reward)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     step: int
     positions: tuple
     discovered: tuple
@@ -1037,8 +1034,7 @@ class TraceStep:
                 f" reward={','.join(self.cumulative_reward)}")
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     steps: tuple
     end_reason: str
     final_positions: tuple

@@ -15,8 +15,7 @@ outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 import yaml
 
@@ -42,8 +41,7 @@ class ParseError(LatticePlanError):
     """Structural problem in a scenario document."""
 
 
-@dataclass(frozen=True)
-class PlannerConfig:
+class PlannerConfig(NamedTuple):
     depth: int = 2
     subset_cap: int | None = None
     eq1_mode: str = "per-goal"
@@ -51,16 +49,15 @@ class PlannerConfig:
     max_steps: int = 40
 
 
-@dataclass(eq=False)
 class Scenario:
     """A fully validated planning setup."""
 
-    phase: PhaseSpace
-    op_cl: OpClPartition
-    spec: GoalLatticeSpec
-    desire_lattices: dict
-    env: GridEnvironment
-    planner: PlannerConfig
+    def __init__(self, phase: PhaseSpace, op_cl: OpClPartition,
+                 spec: GoalLatticeSpec, desire_lattices: dict,
+                 env: GridEnvironment, planner: PlannerConfig):
+        self.phase, self.op_cl, self.spec = phase, op_cl, spec
+        self.desire_lattices, self.env, self.planner = \
+            desire_lattices, env, planner
 
 
 def _type_name(value: Any) -> str:
@@ -209,21 +206,21 @@ def _planner(body: Any, where: str) -> PlannerConfig:
         max_steps=_field(body, where, "max_steps", _as_int, default.max_steps))
 
 
-@dataclass(eq=False)
 class RawScenario:
     """Structurally checked scenario content, prior to semantic validation."""
 
-    carrier: tuple
-    unit: str
-    product: dict
-    false_members: tuple
-    op_members: tuple
-    cl_members: tuple
-    goal_map_members: dict
-    system_names: dict
-    agent_lattices: dict
-    env_args: dict
-    planner: PlannerConfig
+    def __init__(self, carrier: tuple, unit: str, product: dict,
+                 false_members: tuple, op_members: tuple, cl_members: tuple,
+                 goal_map_members: dict, system_names: dict,
+                 agent_lattices: dict, env_args: dict,
+                 planner: PlannerConfig):
+        self.carrier, self.unit, self.product = carrier, unit, product
+        self.false_members, self.op_members, self.cl_members = \
+            false_members, op_members, cl_members
+        self.goal_map_members, self.system_names = \
+            goal_map_members, system_names
+        self.agent_lattices, self.env_args, self.planner = \
+            agent_lattices, env_args, planner
 
 
 # libyaml's composer recurses in C without a depth check: with an 8 MB stack
