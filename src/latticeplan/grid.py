@@ -99,7 +99,6 @@ class GridEnvironment:
                  agents: tuple, goals: tuple):
         self.width, self.height, self.obstacles = width, height, obstacles
         self.agents, self.goals = agents, goals
-        self._reward_cache: dict = {}
         self._seen_cache: dict = {}
         self._flood_cache: dict = {}
 
@@ -130,8 +129,7 @@ class GridEnvironment:
             moved.append(a)
         env = GridEnvironment(self.width, self.height, self.obstacles,
                               tuple(moved), self.goals)
-        env._reward_cache, env._seen_cache, env._flood_cache = (
-            self._reward_cache, self._seen_cache, self._flood_cache)
+        env._seen_cache, env._flood_cache = self._seen_cache, self._flood_cache
         return env
 
 
@@ -321,24 +319,17 @@ def reward(env: GridEnvironment, position: Cell, goal,
 
     A feature shows iff the Chebyshev distance stays within both the feature
     range and the observer horizon, and the goal's cell is in the
-    position's `sight`.
+    position's `sight`, whose mask the environment's cache keeps.
     """
     if isinstance(goal, str):
         goal = env.goal(goal)
-    key = (tuple(position), goal.id, horizon)
-    cached = env._reward_cache.get(key)
-    if cached is not None:
-        return cached
     _check_free(env, position, "observer")
     x, y = goal.position[0] - position[0], goal.position[1] - position[1]
     dist = max(abs(x), abs(y))
-    value: frozenset = frozenset()
-    if dist <= horizon and in_sight(sight(env, position, horizon),
-                                    horizon, x, y):
-        value = frozenset(name for name, rng in goal.features
-                          if dist <= rng)
-    env._reward_cache[key] = value
-    return value
+    if dist > horizon or not in_sight(sight(env, position, horizon),
+                                      horizon, x, y):
+        return frozenset()
+    return frozenset(name for name, rng in goal.features if dist <= rng)
 
 
 def visible_goals(env: GridEnvironment, agent) -> list:

@@ -12,8 +12,9 @@ exact search builds each agent's classes of equal signature in one pass
 over (cell, signature) states, with no predecessors: a class keeps its
 path count and first member, and its other members come from the
 agent's paths as `grid.agent_paths` lists them, on the first read past
-that member. It finds the maximal rewards over the classes that no other
-class covers with per-bit columns over their product, picks the
+that member. One scan by bit count groups each agent's classes under the
+classes that no other covers; it finds the maximal rewards over those
+with per-bit columns over their product, picks the
 dominated classes that may tie them from per-agent columns, and returns
 the plays of the maximal combinations as a lazy sequence: its length,
 first play and reward come from per-agent vectors of class sizes and
@@ -25,7 +26,7 @@ per step, full re-planning after.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Sequence as SequenceABC
 from fractions import Fraction
 from functools import partial, reduce
@@ -35,6 +36,7 @@ from operator import and_, itemgetter, or_
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import LatticePlanError, LimitExceeded
+from .games import NotAPlay
 from .lattice import (
     FiniteLattice,
     ForeignElement,
@@ -244,8 +246,9 @@ def subset_score(spec: GoalLatticeSpec, subset: Sequence[str]) -> Fraction:
 
 
 def _positions_of(env: GridEnvironment, joint_play: Mapping) -> dict:
-    """Each agent's cells, start first; every cell must be free, checked
-    in agent order and then path order."""
+    """Each agent's cells, start first. Every cell must be free, and then
+    every step a move of `grid.agent_moves`, each checked in agent order
+    and then path order."""
     agents = {a.id: a for a in env.agents}
     if set(joint_play) != set(agents):
         raise LengthMismatch("joint play must cover exactly the env agents")
@@ -257,6 +260,11 @@ def _positions_of(env: GridEnvironment, joint_play: Mapping) -> dict:
     for cells in positions.values():
         for cell in cells:
             grid._check_free(env, cell, "observer")
+    for aid, cells in positions.items():
+        for here, there in zip(cells, cells[1:]):
+            if there not in grid.agent_moves(env, here):
+                raise NotAPlay(f"agent {aid} cannot move from {here} to"
+                               f" {there} in one step")
     return positions
 
 
@@ -265,20 +273,17 @@ def _seen_at_start(env: GridEnvironment) -> frozenset:
                                for a in env.agents))
 
 
-def _frames(env: GridEnvironment, reach: int | None) -> list:
+def _frames(env: GridEnvironment, reach: int) -> list:
     """Disjoint cell boxes that number the scout bits, as (c0, r0, c1, r1,
     offset): cell (c, r) of a box is bit `offset + (r - r0) * (c1 - c0 + 1)
     + c - c0`, and the boxes' bit ranges follow one another.
 
-    With no reach there is one box, the grid. With one, each agent has a
-    window, the box of radius reach plus its horizon around its position,
-    which holds every cell that the agent sees on a path of at most reach
-    steps; windows that overlap are merged into their bounding box until
-    the boxes are pairwise disjoint, so a cell has one bit however many
-    agents see it.
+    Each agent has a window, the box of radius reach plus its horizon
+    around its position, which holds every cell that the agent sees on a
+    path of at most reach moves; windows that overlap are merged into
+    their bounding box until the boxes are pairwise disjoint, so a cell
+    has one bit however many agents see it.
     """
-    if reach is None:
-        return [(0, 0, env.width - 1, env.height - 1, 0)]
     boxes: list = []
     for a in env.agents:
         (c, r), d = a.position, reach + a.horizon
@@ -311,9 +316,10 @@ class _Encoder:
     them into one int: a slot of `width` bits per goal view, or a single
     slot in positionwise mode, where `width` counts the distinct feature
     names of the goals, numbered up front; the scouted features sit above
-    the slots, one bit per cell of the frames (`_frames`): the grid, or
-    with `reach` the agents' windows of that many steps. A signature is
-    the join of its cells' signatures, so it depends only on the set of
+    the slots, one bit per cell of the frames (`_frames`), the agents'
+    windows of `reach` moves, so only paths of at most that many moves
+    may be signed. A signature is the join of its cells' signatures, kept
+    per horizon and cell in `_cells`, so it depends only on the set of
     cells visited. Join is `|`, and `a` lies within `b` when `a | b == b`;
     `value` reads the reward off a signature. Building one checks the mode
     and the goal ids, and without `scouted` takes the cells the agents see
@@ -321,8 +327,7 @@ class _Encoder:
     """
 
     def __init__(self, env: GridEnvironment, goal_ids: Sequence[str],
-                 eq1_mode: str, scouted: frozenset | None,
-                 reach: int | None = None):
+                 eq1_mode: str, scouted: frozenset | None, reach: int):
         check_eq1_mode(eq1_mode)
         known = {g.id for g in env.goals}
         for g in goal_ids:
@@ -344,7 +349,7 @@ class _Encoder:
         self.scout_shift = slots * self.width
         self.frames = _frames(env, reach)
         self._strides: dict = {}  # (sight mask, horizon, width) -> restrided
-        self._cells: dict = {}  # (cell, horizon) -> signature
+        self._cells: dict = defaultdict(dict)  # horizon -> cell -> signature
         self.scouted = reduce(or_, [self._seen(a.position, a.horizon)[0]
                                     for a in env.agents], 0) \
             if scouted is None else self._mask(scouted)
@@ -393,7 +398,8 @@ class _Encoder:
         cell's `grid.sight` mask, and then shows the features whose range
         covers the distance: `grid.reward`, without calling it.
         """
-        sig = self._cells.get((cell, horizon))
+        known = self._cells[horizon]
+        sig = known.get(cell)
         if sig is None:
             seen, mask = self._seen(cell, horizon)
             sig = (seen & ~self.scouted) << self.scout_shift
@@ -413,7 +419,7 @@ class _Encoder:
                     sig |= view << shift
             elif views:
                 sig |= reduce(and_, views)
-            self._cells[cell, horizon] = sig
+            known[cell] = sig
         return sig
 
     def signature(self, agent, cells) -> int:
@@ -582,43 +588,36 @@ class _Encoder:
         return frozenset(names)
 
 
-def _maximal(values) -> set:
-    """The values that no other value covers (`b` covers `a` when
-    `a | b == b`).
-
-    Scanned by decreasing bit count, anything covering a value comes before
-    it, and so does a maximum covering that. A maximum covering the value
-    holds its top bit, so only the maxima found so far that hold that bit
-    are tried; each bit's list of them is brought up to date when a value
-    with that top bit is tried. The value 0 is tried against every maximum.
-    """
-    maxima: list = []
-    holding: dict = {}  # top bit -> (maxima holding it, maxima read so far)
-    for value in sorted(set(values), key=int.bit_count, reverse=True):
-        bucket = maxima
-        if value:
-            top = 1 << value.bit_length() - 1
-            bucket, read = holding.get(top, ([], 0))
-            bucket.extend(filter(top.__and__, maxima[read:]))
-            holding[top] = bucket, len(maxima)
-        if value not in map(value.__and__, bucket):
-            maxima.append(value)
-    return set(maxima)
-
-
 def _by_dominance(signatures: list) -> dict:
     """Each non-dominated signature, with the signatures it stands for.
 
-    A signature is dominated when another one covers it. Covering is a
-    strict order on distinct signatures, so some non-dominated one covers
-    each dominated one; it goes to the first such, in the given order. A
-    non-dominated signature heads its own group, as no other covers it.
+    A signature is dominated when another one covers it (`b` covers `a`
+    when `a | b == b`). Scanned by decreasing bit count, anything covering
+    a signature comes before it, and so does a maximum covering that. A
+    maximum covering the signature holds its top bit, so only the maxima
+    found so far that hold that bit are tried; each bit's list of them is
+    brought up to date when a signature with that top bit is tried, and 0
+    is tried against every maximum. A signature joins the group of the
+    first maximum that covers it, or heads a new group: no other covers
+    it. Any covering maximum will do: a tie's members, each replaced by
+    its group's head, make a maximal combination of the same value.
     """
-    tops = _maximal(signatures)
-    groups: dict = {s: [s] for s in signatures if s in tops}
-    for s in signatures:
-        if s not in tops:
-            groups[next(t for t in groups if s | t == t)].append(s)
+    groups: dict = {}  # maximum -> its group, in scan order
+    maxima: list = []
+    holding: dict = {}  # top bit -> (maxima holding it, maxima read so far)
+    for s in sorted(signatures, key=int.bit_count, reverse=True):
+        bucket = maxima
+        if s:
+            top = 1 << s.bit_length() - 1
+            bucket, read = holding.get(top, ([], 0))
+            bucket.extend(filter(top.__and__, maxima[read:]))
+            holding[top] = bucket, len(maxima)
+        head = next((t for t in bucket if s | t == t), None)
+        if head is None:
+            maxima.append(s)
+            groups[s] = [s]
+        else:
+            groups[head].append(s)
     return groups
 
 
@@ -629,9 +628,12 @@ def play_reward(env: GridEnvironment, joint_play: Mapping,
 
     In per-goal mode each goal contributes its best view over every visited
     position and the goals meet afterwards; positionwise mode meets the
-    goals at each single position before joining along the play.
+    goals at each single position before joining along the play. The
+    scout bits are numbered on the frames of the play's length, so every
+    step must be a move (`_positions_of`).
     """
-    enc = _Encoder(env, chosen_goals, eq1_mode, scouted)
+    enc = _Encoder(env, chosen_goals, eq1_mode, scouted,
+                   max(map(len, joint_play.values()), default=0))
     positions = _positions_of(env, joint_play)
     return enc.decode(enc.value(reduce(
         or_, [enc.signature(a, positions[a.id]) for a in env.agents], 0)))
@@ -730,16 +732,16 @@ def _agent_classes(enc: _Encoder, agent, depth: int, base: int,
     signature once for all of the agent's classes.
     """
     position, horizon = tuple(agent.position), agent.horizon
-    steps: dict = {}  # cell -> its signature
+    known = enc._cells[horizon]  # cell -> its signature
     layer = {(position, enc._cell(position, horizon)): [1, 0, (position,)]}
     for _ in range(depth):
         layer, previous = {}, layer
         for (cell, sig), (count, share, cells) in previous.items():
             share *= base
             for move, target in enumerate(grid.agent_moves(enc.env, cell)):
-                step = steps.get(target)
+                step = known.get(target)
                 if step is None:
-                    step = steps[target] = enc._cell(target, horizon)
+                    step = enc._cell(target, horizon)
                 key = target, sig | step
                 into = layer.get(key)
                 if into is None:
@@ -805,15 +807,15 @@ def choose_play(env: GridEnvironment, spec: GoalLatticeSpec,
     pass over (cell, signature) states (`_agent_classes`), and a class
     combination is scored as the `value` of the join of its signatures. A
     class is dominated when another class of the same agent covers it,
-    scouted features and every goal view. Join and `value` are monotone,
-    so a combination's value lies at or below that of the combination
-    with each dominated class replaced by one that dominates it, and
-    finally by a non-dominated one. Every value thus lies below a value of
-    the product of non-dominated classes, so the maximal values of the
-    full product are the maxima of that smaller product, which
-    `_Encoder.maxima` finds. A dominated class can still tie a maximal
-    value, so every combination over all classes whose value is maximal
-    is kept. Such a tie lies below its maximal combination member by
+    scouted features and every goal view, and `_by_dominance` groups each
+    agent's classes under non-dominated ones. Join and `value` are
+    monotone, so a combination's value lies at or below that of the
+    combination with each dominated class replaced by its group's head.
+    Every value thus lies below a value of the product of non-dominated
+    classes, so the maximal values of the full product are the maxima of
+    that smaller product, which `_Encoder.maxima` finds. A dominated class
+    can still tie a maximal value, so every combination over all classes
+    whose value is maximal is kept. Such a tie lies below its maximal combination member by
     member, so by monotonicity each of its members, joined with the other
     agents' tops, still has the maximal value. `_Encoder.maxima` keeps
     only the members that pass this, testing just the candidates its

@@ -200,7 +200,8 @@ class TestReward:
     def test_reward_is_cached_and_stable(self):
         env = one_goal_env([("r1", 5), ("r2", 2)])
         first = reward(env, (2, 2), "g1", 6)
-        assert reward(env, (2, 2), "g1", 6) is first
+        assert reward(env, (2, 2), "g1", 6) == first
+        assert ((2, 2), 6) in env._seen_cache
 
     def test_fog_monotone_without_obstacles(self):
         rng = random.Random(3)
@@ -504,8 +505,9 @@ class TestWithPositions:
         moved = env.with_positions({"a1": (3, 3)})
         assert moved.agent("a1").position == (3, 3)
         assert env.agent("a1").position == (2, 2)
-        assert moved._reward_cache is env._reward_cache
-        assert reward(moved, (2, 2), "g1", 6) is value
+        assert moved._seen_cache is env._seen_cache
+        assert moved._flood_cache is env._flood_cache
+        assert reward(moved, (2, 2), "g1", 6) == value
 
     def test_moving_onto_obstacle_fails(self):
         env = one_goal_env([("r1", 5)], obstacles=[(3, 3)])

@@ -21,6 +21,7 @@ from latticeplan.grid import (
     build_environment,
 )
 from latticeplan.errors import LimitExceeded
+from latticeplan.games import NotAPlay
 from latticeplan.lattice import (
     LATTICE_ELEMENT_BOUND,
     ForeignElement,
@@ -503,6 +504,38 @@ class TestPlayReward:
             assert type(info.value) is error
             assert str(info.value) == message
 
+    @pytest.mark.parametrize("goal_ids", [["b1", "b2"], []])
+    def test_jumps_raise_with_and_without_goals(self, goal_ids):
+        """A step that is not a move raises NotAPlay, naming the agent and
+        both cells: the first such step in agent order, then path order,
+        and only once every cell is free."""
+        env = walkthrough_env()
+        cases = [
+            ({"agent-1": ((0, 0),), "agent-2": ((4, 3),),
+              "agent-3": ((6, 3),)},
+             NotAPlay, "agent agent-1 cannot move from (2, 4) to (0, 0)"
+             " in one step"),
+            ({"agent-3": ((5, 3), (5, 1)), "agent-2": ((5, 4), (5, 5)),
+              "agent-1": ((2, 3), (3, 2))},
+             NotAPlay, "agent agent-1 cannot move from (2, 3) to (3, 2)"
+             " in one step"),
+            ({"agent-1": ((2, 3), (2, 3)), "agent-2": ((4, 2), (4, 4)),
+              "agent-3": ((6, 1), (6, 1))},
+             NotAPlay, "agent agent-2 cannot move from (4, 2) to (4, 4)"
+             " in one step"),
+            ({"agent-1": ((0, 4),), "agent-2": ((4, 3),),
+              "agent-3": ((1, 2),)},
+             OnObstacle, "observer at (1, 2) sits on an obstacle"),
+        ]
+        for play, error, message in cases:
+            with pytest.raises(error) as info:
+                play_reward(env, play, goal_ids)
+            assert type(info.value) is error
+            assert str(info.value) == message
+        stay = {a.id: (a.position,) for a in env.agents}
+        assert play_reward(env, stay, goal_ids) == play_reward(
+            env, {a.id: () for a in env.agents}, goal_ids)
+
     def test_matches_frozenset_reward(self):
         """Seeded joint plays against the reward computed on frozensets,
         in both modes: no goals, goals without features, and goals that
@@ -589,10 +622,14 @@ class TestGoalViewsFromSight:
                 for name in rng.sample(["p", "q", "r", "s"],
                                        rng.randint(0, 4))))
                 for i in range(rng.randint(1, 3))]
-            env = build_environment(width, height, obstacles, [], goals)
+            # one agent whose window of width + height moves is the grid
+            env = build_environment(width, height, obstacles,
+                                    [AgentState("a", free[0], horizon, "m")],
+                                    goals)
             for mode in EQ1_MODES:
                 enc = planner_module._Encoder(env, [g.id for g in goals],
-                                              mode, frozenset())
+                                              mode, frozenset(),
+                                              width + height)
                 slots = (1 << enc.scout_shift) - 1
 
                 def bits(names):
@@ -741,10 +778,17 @@ class TestChoosePlay:
         assert [dict(p) for p in got] == maximal
 
 
+def maximal(values) -> set:
+    """The heads of `_by_dominance`: the values that no other covers."""
+    return set(planner_module._by_dominance(list(values)))
+
+
 class TestMaximal:
     def test_matches_the_pairwise_definition(self):
         """Seeded int sets with duplicates and 0, against the values that
-        no other value covers, compared pairwise."""
+        no other value covers, compared pairwise: those head the groups,
+        each group's members are covered by its head, and every value
+        appears once over the groups."""
         for seed in range(300):
             rng = random.Random(seed)
             bits = rng.randint(1, 12)
@@ -752,9 +796,15 @@ class TestMaximal:
             values += rng.sample(values, len(values) // 3) + [0] * (seed % 3)
             expected = {v for v in values
                         if not any(v != w and v | w == w for w in values)}
-            assert planner_module._maximal(values) == expected, seed
-        assert planner_module._maximal([0, 0]) == {0}
-        assert planner_module._maximal([]) == set()
+            groups = planner_module._by_dominance(values)
+            assert set(groups) == expected, seed
+            assert all(head == members[0] and all(
+                s | head == head for s in members)
+                for head, members in groups.items()), seed
+            assert sorted(s for members in groups.values()
+                          for s in members) == sorted(values), seed
+        assert planner_module._by_dominance([0, 0]) == {0: [0, 0]}
+        assert planner_module._by_dominance([]) == {}
 
 
 def random_encoder(rng, mode):
@@ -766,14 +816,14 @@ def random_encoder(rng, mode):
              for i in range(rng.randint(0, 2))]
     env = build_environment(1, 1, [], [], goals)
     return planner_module._Encoder(env, [g.id for g in goals], mode,
-                                   frozenset())
+                                   frozenset(), 0)
 
 
 class TestColumnMaxima:
     def test_matches_maximal_over_the_flat_product(self):
         """Seeded signatures for 0-3 agents and 0-2 slots in both layouts,
-        with duplicates and zeros, against `_maximal` over the value of
-        every combination, kept in `product` order."""
+        with duplicates and zeros, against the heads of `_by_dominance`
+        over the value of every combination, kept in `product` order."""
         for seed in range(240):
             rng = random.Random(seed)
             enc = random_encoder(rng, EQ1_MODES[seed % 2])
@@ -785,7 +835,7 @@ class TestColumnMaxima:
                 tops.append(sigs)
             values = [enc.value(reduce(or_, combo, 0))
                       for combo in product(*tops)]
-            best = planner_module._maximal(values)
+            best = maximal(values)
             got, maxima, ties = enc.maxima([[[s] for s in sigs]
                                              for sigs in tops])
             assert [(combo, v) for combo, v in zip(product(*tops), got)
@@ -1131,7 +1181,9 @@ class TestFrames:
 
     def test_scout_bits_fit_the_clusters_on_a_wide_grid(self, monkeypatch):
         """On a 256x256 grid with agents in opposite corners, every cell
-        signature's scout part fits in the two clusters' box areas."""
+        signature's scout part fits in the two clusters' box areas. The
+        first play's `play_reward` is the plan's reward, and it numbers its
+        bits on the same two frames, not on one frame of the grid."""
         cells = []
         cell = planner_module._Encoder._cell
 
@@ -1149,7 +1201,8 @@ class TestFrames:
                                  GoalObject("b2", (252, 250), feats)])
         for mode in EQ1_MODES:
             cells.clear()
-            choose_play(env, system_spec(), ["b1", "b2"], 3, eq1_mode=mode)
+            got = choose_play(env, system_spec(), ["b1", "b2"], 3,
+                              eq1_mode=mode)
             enc = cells[0][0]
             boxes = [(c1 - c0 + 1) * (r1 - r0 + 1)
                      for c0, r0, c1, r1, _ in enc.frames]
@@ -1157,6 +1210,11 @@ class TestFrames:
             assert all(sig >> enc.scout_shift < 1 << sum(boxes)
                        for _, sig in cells), mode
             assert all(e is enc for e, _ in cells), mode
+            cells.clear()
+            assert play_reward(env, got[0], ["b1", "b2"],
+                               eq1_mode=mode) == got.reward, mode
+            assert cells[0][0] is not enc, mode
+            assert cells[0][0].frames == enc.frames, mode
 
 
 def share(idxs, agent, agents):
@@ -1184,14 +1242,14 @@ def listed_classes(enc, env, i, depth):
 def reference_kernel(env, goal_ids, depth, eq1_mode):
     """The joint search over listed paths, without the column maxima or
     the tie candidates: every combination of non-dominated classes valued,
-    `_maximal` over those values, and every member combination of a
-    maximal one scored."""
-    enc = planner_module._Encoder(env, goal_ids, eq1_mode, None)
+    the heads of `_by_dominance` over those values, and every member
+    combination of a maximal one scored."""
+    enc = planner_module._Encoder(env, goal_ids, eq1_mode, None, depth)
     per_agent = [listed_classes(enc, env, i, depth)
                  for i in range(len(env.agents))]
     groups = [planner_module._by_dominance(list(c)) for c in per_agent]
     values = {top: enc.value(reduce(or_, top, 0)) for top in product(*groups)}
-    maxima = planner_module._maximal(values.values())
+    maxima = maximal(values.values())
     combos = [([c[sig] for c, sig in zip(per_agent, combo)], best)
               for top, best in values.items() if best in maxima
               for combo in product(*(g[sig] for g, sig in zip(groups, top)))
@@ -1265,7 +1323,8 @@ class TestAgentClasses:
             n = len(env.agents)
             for mode in EQ1_MODES:
                 for depth in range(5):
-                    enc = planner_module._Encoder(env, goals, mode, None)
+                    enc = planner_module._Encoder(env, goals, mode, None,
+                                                  depth)
                     for i, a in enumerate(env.agents):
                         got = planner_module._agent_classes(
                             enc, a, depth, 5 ** n, 5 ** (n - 1 - i))

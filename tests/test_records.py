@@ -135,8 +135,10 @@ class TestMovedCopies:
                                 [GoalObject("g", (3, 3), (("f", 5),))])
         moved = env.with_positions({"a": (1, 1)})
         assert moved is not env and moved != env
-        for cache in ("_reward_cache", "_seen_cache", "_flood_cache"):
+        for cache in ("_seen_cache", "_flood_cache"):
             assert getattr(moved, cache) is getattr(env, cache)
+        assert [k for k in vars(env) if k.endswith("_cache")] == [
+            "_seen_cache", "_flood_cache"]
         assert moved.agents == (AgentState("a", (1, 1), 2, "m"),)
         assert env.agents == (AgentState("a", (0, 0), 2, "m"),)
         assert (moved.width, moved.height, moved.obstacles, moved.goals) == (
