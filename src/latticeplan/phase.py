@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import LatticePlanError, LimitExceeded
-from .lattice import subset_id
+from .lattice import LATTICE_ELEMENT_BOUND, subset_id
 
 DEFAULT_CARRIER_BOUND = 12
 
@@ -49,6 +49,10 @@ class CarrierTooLarge(LimitExceeded):
 
 
 class NotDualClasses(PhaseError):
+    pass
+
+
+class ClassTooLarge(PhaseError, LimitExceeded):
     pass
 
 
@@ -275,10 +279,16 @@ def validate_op_cl(space: PhaseSpace,
     included. Each class is walked in the given order, repeats dropped,
     and every witness is the first in that order; as both operations
     commute, the pairs a, b with a not after b give the same first witness
-    as all ordered pairs.
+    as all ordered pairs. A class of more than LATTICE_ELEMENT_BOUND
+    members is refused first: it holds more facts than a fact lattice may.
     """
     opens = list(dict.fromkeys(open_facts))
     closeds = list(dict.fromkeys(closed_facts))
+    for name, members in (("open", opens), ("closed", closeds)):
+        if len(members) > LATTICE_ELEMENT_BOUND:
+            raise ClassTooLarge(f"{name} class has {len(members)} members;"
+                                f" classes are bounded at"
+                                f" {LATTICE_ELEMENT_BOUND}")
     for f in opens + closeds:
         if f.space is not space:
             raise SpaceMismatch("class member belongs to another space")

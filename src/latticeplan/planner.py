@@ -9,16 +9,15 @@ into one int, so join, cover and reward are single int operations. A
 cell's sight is one int as well; each search numbers its scout bits on
 frames, one box of cells per cluster of agents whose windows overlap. The
 exact search builds each agent's classes of equal signature in one pass
-over (cell, signature) states, with no predecessors: a class keeps its
-path count and first member, and its other members come from the
-agent's paths as `grid.agent_paths` lists them, on the first read past
-that member. One scan by bit count groups each agent's classes under the
-classes that no other covers; it finds the maximal rewards over those
-with per-bit columns over their product, picks the
-dominated classes that may tie them from per-agent columns, and returns
-the plays of the maximal combinations as a lazy sequence: its length,
-first play and reward come from per-agent vectors of class sizes and
-first members, and the plays are expanded only when read past the first.
+that expands its paths move by move, each with its share of the play
+order and its signature, and groups them by signature. One scan by bit
+count groups each agent's classes under the classes that no other
+covers; it finds the maximal rewards over those with per-bit columns over
+their product, picks the dominated classes that may tie them from
+per-agent columns, and returns the plays of the maximal combinations as
+a lazy sequence: its length, first play and reward come from the
+combinations' class sizes and first members, and the plays are expanded
+only when read past the first.
 Ties between agents break on desire-lattice vertex weights, then on
 agent order. The simulation loop is receding-horizon: one committed move
 per step, full re-planning after.
@@ -29,8 +28,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from collections.abc import Sequence as SequenceABC
 from fractions import Fraction
-from functools import partial, reduce
-from itertools import combinations, compress, count, islice, product
+from functools import reduce
+from itertools import combinations, product
 from math import comb, prod
 from operator import and_, itemgetter, or_
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -676,15 +675,64 @@ def check_run_limits(depth: int, agent_count: int, eq1_mode: str, *,
                            f" {SIMULATE_STEP_BOUND}")
 
 
-class _Lazy(SequenceABC):
-    """Read-only sequence whose `len` and `[0]` are known up front.
+def _agent_classes(enc: _Encoder, agent, depth: int, base: int,
+                   scale: int) -> dict:
+    """An agent's paths of `depth` steps, by signature, as lists of (cells
+    after the start, share) in share order.
 
-    Any other read calls `listing` once and keeps the list it returns.
+    Plays are ordered by their interleaved move indices: each step's
+    indices in agent order. Read as base-5 digits (a move index is 0-4),
+    that sequence is a number, the sum of the agents' shares: an agent's
+    share is its moves read as digits of `base` (5 to the agent count),
+    times `scale` (5 to the count of agents after it).
+
+    One pass expands the paths move by move through `grid.agent_moves`,
+    so each level lists its paths in share order. A path carries its share
+    and its signature, the join of its cells' signatures, and the last
+    level's paths are grouped by signature.
+    """
+    position, horizon = tuple(agent.position), agent.horizon
+    known = enc._cells[horizon]  # cell -> its signature
+    level = [((position,), 0, enc._cell(position, horizon))]
+    for _ in range(depth):
+        level, previous = [], level
+        for cells, share, sig in previous:
+            share *= base
+            for move, target in enumerate(grid.agent_moves(enc.env,
+                                                           cells[-1])):
+                step = known.get(target)
+                if step is None:
+                    step = enc._cell(target, horizon)
+                level.append((cells + (target,), share + move, sig | step))
+    classes: dict = {}  # signature -> its members
+    for cells, share, sig in level:
+        classes.setdefault(sig, []).append((cells[1:], share * scale))
+    return classes
+
+
+def _expand_plays(agent_ids: tuple, combos: list) -> list:
+    """Every play of the class combinations, in order of their keys."""
+    keyed = []
+    for members in combos:
+        shares = product(*([share for _, share in m] for m in members))
+        paths = product(*([cells for cells, _ in m] for m in members))
+        keyed.extend(zip(map(sum, shares), paths))
+    keyed.sort(key=itemgetter(0))
+    return [dict(zip(agent_ids, paths)) for _, paths in keyed]
+
+
+class MaximalPlays(SequenceABC):
+    """Read-only sequence of the reward-maximal joint plays, in order,
+    with the first play's decoded value as `reward`.
+
+    `len`, `[0]` and `reward` are given up front. Any other read calls
+    `listing` once, which expands and sorts every play, and keeps its list.
     """
 
-    def __init__(self, size: int, first, listing):
+    def __init__(self, size: int, first: dict, listing, reward: frozenset):
         self._len, self._first, self._listing = size, first, listing
         self._items: list | None = None
+        self.reward = reward
 
     def __len__(self) -> int:
         return self._len
@@ -708,95 +756,6 @@ class _Lazy(SequenceABC):
         return self._items
 
 
-def _agent_classes(enc: _Encoder, agent, depth: int, base: int,
-                   scale: int) -> dict:
-    """An agent's paths of `depth` steps, by signature, as `_Lazy` lists
-    of (cells after the start, share) in share order.
-
-    Plays are ordered by their interleaved move indices: each step's
-    indices in agent order. Read as base-5 digits (a move index is 0-4),
-    that sequence is a number, the sum of the agents' shares: an agent's
-    share is its moves read as digits of `base` (5 to the agent count),
-    times `scale` (5 to the count of agents after it).
-
-    The pass goes layer by layer over states (last cell, signature), as a
-    step's signature is the join of the state's and the target cell's,
-    and keeps only the current layer. A state holds its path count and
-    its smallest path with that path's share before `scale`. Each layer
-    lists its states in order of their smallest paths: by induction, the
-    next layer's states arrive in that order, as their first arrivals
-    extend the smallest paths in order, move by move. So a state's first
-    arrival is its smallest path, and a class's first final state holds
-    the class's first member. Any other member is read from the agent's
-    paths as `grid.agent_paths` lists them, in share order, grouped by
-    signature once for all of the agent's classes.
-    """
-    position, horizon = tuple(agent.position), agent.horizon
-    known = enc._cells[horizon]  # cell -> its signature
-    layer = {(position, enc._cell(position, horizon)): [1, 0, (position,)]}
-    for _ in range(depth):
-        layer, previous = {}, layer
-        for (cell, sig), (count, share, cells) in previous.items():
-            share *= base
-            for move, target in enumerate(grid.agent_moves(enc.env, cell)):
-                step = known.get(target)
-                if step is None:
-                    step = enc._cell(target, horizon)
-                key = target, sig | step
-                into = layer.get(key)
-                if into is None:
-                    layer[key] = [count, share + move, cells + (target,)]
-                else:
-                    into[0] += count
-
-    listed: dict = {}  # signature -> its members, once any is read
-
-    def members(sig: int) -> list:
-        if not listed:
-            for cells, moves in grid.agent_paths(enc.env, position,
-                                                 depth)[-1]:
-                share = 0
-                for move in moves:
-                    share = share * base + move
-                listed.setdefault(enc.signature(agent, cells), []).append(
-                    (cells[1:], share * scale))
-        return listed[sig]
-
-    finals: dict = {}  # signature -> [path count, first member]
-    for (_, sig), (count, share, cells) in layer.items():
-        final = finals.get(sig)
-        if final is None:
-            finals[sig] = [count, (cells[1:], share * scale)]
-        else:
-            final[0] += count
-    return {sig: _Lazy(count, first, partial(members, sig))
-            for sig, (count, first) in finals.items()}
-
-
-def _expand_plays(agent_ids: tuple, combos: list) -> list:
-    """Every play of the class combinations, in order of their keys."""
-    keyed = []
-    for members in combos:
-        shares = product(*([share for _, share in m] for m in members))
-        paths = product(*([cells for cells, _ in m] for m in members))
-        keyed.extend(zip(map(sum, shares), paths))
-    keyed.sort(key=itemgetter(0))
-    return [dict(zip(agent_ids, paths)) for _, paths in keyed]
-
-
-class MaximalPlays(_Lazy):
-    """Read-only sequence of the reward-maximal joint plays, in order,
-    with the first play's decoded value as `reward`.
-
-    `len`, `[0]` and `reward` are given up front. Any other read calls
-    `listing` once, which expands and sorts every play.
-    """
-
-    def __init__(self, size: int, first: dict, listing, reward: frozenset):
-        super().__init__(size, first, listing)
-        self.reward = reward
-
-
 def choose_play(env: GridEnvironment, spec: GoalLatticeSpec,
                 chosen_goals: Sequence[str], depth: int, *,
                 eq1_mode: str = "per-goal",
@@ -804,32 +763,30 @@ def choose_play(env: GridEnvironment, spec: GoalLatticeSpec,
     """Every reward-maximal joint play of the given depth, exactly.
 
     Each agent's paths are grouped into classes of equal signature by one
-    pass over (cell, signature) states (`_agent_classes`), and a class
-    combination is scored as the `value` of the join of its signatures. A
-    class is dominated when another class of the same agent covers it,
-    scouted features and every goal view, and `_by_dominance` groups each
-    agent's classes under non-dominated ones. Join and `value` are
-    monotone, so a combination's value lies at or below that of the
-    combination with each dominated class replaced by its group's head.
-    Every value thus lies below a value of the product of non-dominated
-    classes, so the maximal values of the full product are the maxima of
-    that smaller product, which `_Encoder.maxima` finds. A dominated class
-    can still tie a maximal value, so every combination over all classes
-    whose value is maximal is kept. Such a tie lies below its maximal combination member by
-    member, so by monotonicity each of its members, joined with the other
-    agents' tops, still has the maximal value. `_Encoder.maxima` keeps
-    only the members that pass this, testing just the candidates its
+    pass over its paths (`_agent_classes`), and a class combination is
+    scored as the `value` of the join of its signatures. A class is
+    dominated when another class of the same agent covers it, scouted
+    features and every goal view, and `_by_dominance` groups each agent's
+    classes under non-dominated ones. Join and `value` are monotone, so a
+    combination's value lies at or below that of the combination with each
+    dominated class replaced by its group's head. Every value thus lies
+    below a value of the product of non-dominated classes, so the maximal
+    values of the full product are the maxima of that smaller product,
+    which `_Encoder.maxima` finds. A dominated class can still tie a
+    maximal value, so every combination over all classes whose value is
+    maximal is kept. Such a tie lies below its maximal combination member
+    by member, so by monotonicity each of its members, joined with the
+    other agents' tops, still has the maximal value. `_Encoder.maxima`
+    keeps only the members that pass this, testing just the candidates its
     columns leave, and only combinations of kept members are scored.
 
     The result is a lazy `MaximalPlays` over those combinations: joint
     plays (agent id to cells, start excluded) in lexicographic order of
     their interleaved move indices. A play's key is the sum of its agents'
     shares, so a combination's smallest play joins its classes' first
-    members. The tops' class sizes and first shares, multiplied and
-    summed over the tops' product in `maxima`'s order, give each maximal
-    combination's play count and smallest key, and the ties add theirs;
-    the combinations' member lists are built only when a later play is
-    read.
+    members. Its play count is the product of its classes' sizes; `[0]`
+    and the reward come from the combination of least smallest key, and
+    the plays are expanded and sorted only when a later one is read.
     """
     check_search_bounds(depth, len(env.agents))
     enc = _Encoder(env, chosen_goals, eq1_mode, scouted, depth)
@@ -841,34 +798,24 @@ def choose_play(env: GridEnvironment, spec: GoalLatticeSpec,
                  for i, a in enumerate(env.agents)]
     groups = [_by_dominance(list(classes)) for classes in per_agent]
     values, best, ties = enc.maxima([list(g.values()) for g in groups])
-    maximal = list(map(best.__contains__, values))
     heads = [[classes[top] for top in g]
              for classes, g in zip(per_agent, groups)]
-    sizes, keys = [1], [0]
-    for hs in heads:
-        counts, shares = [len(h) for h in hs], [h[0][1] for h in hs]
-        sizes = [size * count for size in sizes for count in counts]
-        keys = [key + share for key in keys for share in shares]
-    size = sum(compress(sizes, maximal))
-    key, i = min(compress(zip(keys, count()), maximal))
-    first, reward = next(islice(product(*heads), i, None)), values[i]
-    tied = []  # the classes of each other combination of kept members
+    # (each agent's class, value) for every maximal combination and tie
+    combos = [(top, value) for top, value in zip(product(*heads), values)
+              if value in best]
     for kept, value in ties.values():
         others = product(*kept)
-        next(others)  # the maximal combination itself, counted above
-        for combo in others:
-            if enc.value(reduce(or_, combo, 0)) == value:
-                tied.append(classes := [c[sig] for c, sig in
-                                        zip(per_agent, combo)])
-                size += prod(map(len, classes))
-                share = sum([c[0][1] for c in classes])
-                if share < key:
-                    key, first, reward = share, classes, value
+        next(others)  # the maximal combination itself, listed above
+        combos.extend(([c[sig] for c, sig in zip(per_agent, combo)], value)
+                      for combo in others
+                      if enc.value(reduce(or_, combo, 0)) == value)
+    first, reward = min(combos, key=lambda entry: sum(
+        [c[0][1] for c in entry[0]]))
     agent_ids = tuple(a.id for a in env.agents)
     return MaximalPlays(
-        size, dict(zip(agent_ids, (c[0][0] for c in first))),
-        lambda: _expand_plays(
-            agent_ids, list(compress(product(*heads), maximal)) + tied),
+        sum([prod(map(len, classes)) for classes, _ in combos]),
+        dict(zip(agent_ids, (c[0][0] for c in first))),
+        lambda: _expand_plays(agent_ids, [classes for classes, _ in combos]),
         enc.decode(reward))
 
 

@@ -304,13 +304,6 @@ def _check_cross_references(raw: RawScenario, env: GridEnvironment,
                     f" goal {g.id!r}")
 
 
-def _check_planner(raw: RawScenario, env: GridEnvironment) -> None:
-    cfg = raw.planner
-    check_run_limits(cfg.depth, len(env.agents), cfg.eq1_mode,
-                     subset_cap=cfg.subset_cap, patience=cfg.patience,
-                     max_steps=cfg.max_steps)
-
-
 def _run_checks(raw: RawScenario, rows: list | None) -> Scenario:
     """Run the semantic checks in their fixed order; return what they build.
 
@@ -356,7 +349,10 @@ def _run_checks(raw: RawScenario, rows: list | None) -> Scenario:
     run("cross-references",
         lambda: _check_cross_references(raw, env, desire_lattices),
         spec, env, ok_lattices)
-    run("planner-config", lambda: _check_planner(raw, env), env)
+    cfg = raw.planner
+    run("planner-config", lambda: check_run_limits(
+        cfg.depth, len(env.agents), cfg.eq1_mode, subset_cap=cfg.subset_cap,
+        patience=cfg.patience, max_steps=cfg.max_steps), env)
     return Scenario(phase=phase, op_cl=op_cl, spec=spec,
                     desire_lattices=desire_lattices, env=env,
                     planner=raw.planner)

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticeplan.errors import LimitExceeded
 from latticeplan.phase import (
     CarrierTooLarge,
+    ClassTooLarge,
     MonoidSubset,
     NotAFact,
     NotAssociative,
@@ -33,6 +35,7 @@ from latticeplan.phase import (
     validate_op_cl,
     with_additive,
 )
+from latticeplan import phase
 from latticeplan.planner import build_goal_lattice_spec
 
 
@@ -457,6 +460,30 @@ class TestOpClClasses:
         space = mod2mul(("0",))
         with pytest.raises(NotAFact):
             validate_op_cl(space, [space.subset(["1"])], [space.one])
+
+    @pytest.mark.parametrize("side", ["open", "closed"])
+    def test_class_past_the_bound_is_refused_before_any_pair(
+            self, side, monkeypatch):
+        """513 distinct members of Z_10, given with repeats, are refused
+        before any fact test or tensor: testing every pair of them would
+        take seconds."""
+        calls = []
+        monkeypatch.setattr(phase, "tensor",
+                            lambda *args: calls.append(args))
+        monkeypatch.setattr(phase, "is_fact",
+                            lambda *args: calls.append(args))
+        elems = tuple(f"e{i}" for i in range(10))
+        space = space_from_fn(
+            elems, lambda x, y: f"e{(int(x[1:]) + int(y[1:])) % 10}", "e0",
+            elems[1:])
+        members = [space.subset(m) for size in range(11)
+                   for m in combinations(elems, size)][:513]
+        classes = {"open": [space.zero, space.i_fact], "closed": [space.one]}
+        classes[side] = members + members[:5]
+        with pytest.raises(ClassTooLarge) as info:
+            validate_op_cl(space, classes["open"], classes["closed"])
+        assert str(info.value).startswith(f"{side} class has 513 members")
+        assert isinstance(info.value, LimitExceeded) and calls == []
 
 
 def two_class_op_cl(space, open_facts, closed_facts):

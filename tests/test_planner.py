@@ -1312,7 +1312,7 @@ class TestChoosePlayDepthFive:
 
 
 class TestAgentClasses:
-    def test_state_pass_matches_the_path_listing(self):
+    def test_move_by_move_pass_matches_the_path_listing(self):
         """Per agent: the same signatures, and for each the same count,
         first member and member list, in both modes at depths 0-4, on
         small seeded grids and the walkthrough."""
@@ -1805,33 +1805,32 @@ class TestLazyAlternates:
         monkeypatch.setattr(grid, "agent_paths", spy)
         return calls
 
-    def test_classes_listed_only_past_the_first_play(self, monkeypatch):
-        """A plan reads each class's `len` and `[0]` only; the members are
-        listed from `grid.agent_paths` when a later play is read."""
+    def test_later_plays_need_no_path_listing(self, monkeypatch):
+        """A plan reads `len` and `[0]`; reading a later play expands the
+        classes the search built, and never lists paths with
+        `grid.agent_paths`."""
         calls = self.spy_on_agent_paths(monkeypatch)
         env = walkthrough_env()
         plan = plan_once(env, system_spec(), walkthrough_desires(),
                          discovered=["b1", "b2"], depth=3)
-        assert len(plan.alternates) == 1050 and calls == []
+        assert len(plan.alternates) == 1050
         assert plan.alternates[1] != plan.plays
-        assert sorted(calls) == sorted((a.position, 3) for a in env.agents)
+        assert calls == []
 
-    def test_one_listing_per_agent(self, monkeypatch):
-        """Reading every play, twice, lists each agent's paths once however
-        many classes the agent has."""
+    def test_reading_every_play_twice_lists_no_paths(self, monkeypatch):
+        """Reading every play, twice, gives the same list, and no search
+        lists paths with `grid.agent_paths`."""
         calls = self.spy_on_agent_paths(monkeypatch)
         spec = system_spec()
         for k in range(6):
             env = random_small_grid(random.Random(9600 + k))
             for mode in EQ1_MODES:
                 for depth in range(1, 4):
-                    calls.clear()
                     out = choose_play(env, spec, ["b1"], depth,
                                       eq1_mode=mode)
                     plays = list(out)
                     assert list(out) == plays and len(plays) == len(out)
-                    assert sorted(calls) == sorted(
-                        (a.position, depth) for a in env.agents), (k, mode)
+                    assert calls == [], (k, mode, depth)
 
     def test_sequence_protocol(self):
         env = TestChoosePlay().one_agent_env()
